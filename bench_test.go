@@ -264,43 +264,35 @@ func BenchmarkSweepObserved(b *testing.B) {
 
 // --- Single-run microbenches for the public API ----------------------------
 
-func BenchmarkWiFiBatchBEB100(b *testing.B) {
+// benchRun runs s once per iteration on a zero Engine, reseeded with the
+// iteration index.
+func benchRun(b *testing.B, s repro.Scenario) {
+	var eng repro.Engine
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunWiFiBatch(100, repro.BEB, repro.WithSeed(uint64(i))); err != nil {
+		if _, err := eng.Run(context.Background(), s.WithOptions(repro.WithSeed(uint64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkWiFiBatchBEB100(b *testing.B) {
+	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 100})
 }
 
 func BenchmarkAbstractBatchBEB1000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunAbstractBatch(1000, repro.BEB, repro.WithSeed(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRun(b, repro.Scenario{Model: repro.Abstract(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 1000})
 }
 
 func BenchmarkBestOfK100(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunBestOfK(100, 3, repro.WithSeed(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRun(b, repro.Scenario{Model: repro.WiFi(), N: 100, Workload: repro.BestOfKWorkload{K: 3}})
 }
 
 func BenchmarkTreeBatch1000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunTreeBatch(1000, repro.WithSeed(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRun(b, repro.Scenario{Model: repro.Abstract(), N: 1000, Workload: repro.TreeWorkload{}})
 }
 
 func BenchmarkContinuousSaturated20(b *testing.B) {
-	std := repro.WithConfig(func(c *repro.MACConfig) { c.CWMin = 16 })
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RunContinuousTraffic(20, repro.BEB, repro.Saturated(), 50_000_000, repro.WithSeed(uint64(i)), std); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 20,
+		Workload: repro.ContinuousWorkload{Arrivals: repro.Saturated(), Horizon: 50 * time.Millisecond},
+		Options:  []repro.Option{repro.WithConfig(func(c *repro.MACConfig) { c.CWMin = 16 })}})
 }

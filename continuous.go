@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // throughput, latency and fairness — the regimes of the paper's related
 // work and concluding questions.
 
-// ArrivalSpec selects a packet-arrival process for RunContinuousTraffic.
+// ArrivalSpec selects the packet-arrival process of a ContinuousWorkload.
 type ArrivalSpec struct {
 	kind string
 	rate float64       // poisson: packets/s
@@ -83,29 +82,6 @@ type TrafficResult struct {
 	JainFairness       float64
 }
 
-// RunContinuousTraffic simulates n stations for the given horizon under the
-// arrival process. Note: the paper's Table I CWmin = 1 causes channel
-// capture under saturation; pass WithConfig to raise CWMin (16 is the
-// 802.11 standard) for steady-state studies.
-//
-// Equivalent to Engine.Run of Scenario{Model: WiFi(), Algorithm:
-// ParseAlgorithm(algorithm), N: n, Workload: ContinuousWorkload{Arrivals:
-// arrivals, Horizon: horizon}, Options: opts}.
-func RunContinuousTraffic(n int, algorithm string, arrivals ArrivalSpec,
-	horizon time.Duration, opts ...Option) (TrafficResult, error) {
-	res, err := defaultEngine.Run(context.Background(), Scenario{
-		Model:     WiFi(),
-		Algorithm: Algorithm{spec: algorithm},
-		N:         n,
-		Workload:  ContinuousWorkload{Arrivals: arrivals, Horizon: horizon},
-		Options:   opts,
-	})
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	return *res.Traffic, nil
-}
-
 // PredictSaturatedThroughput returns Bianchi's analytical saturated
 // throughput (Mbit/s of payload) for BEB with the given CWmin under the
 // default 802.11g parameters and payload.
@@ -118,23 +94,4 @@ func PredictSaturatedThroughput(n, cwMin, payloadBytes int) (float64, error) {
 		return 0, err
 	}
 	return th.Mbps, nil
-}
-
-// RunTreeBatch resolves a single batch with the classic binary
-// tree-splitting algorithm (Capetanakis) under the abstract model — the
-// non-backoff baseline of the contention-resolution literature.
-//
-// Equivalent to Engine.Run of Scenario{Model: Abstract(), N: n, Workload:
-// TreeWorkload{}, Options: opts}.
-func RunTreeBatch(n int, opts ...Option) (BatchResult, error) {
-	res, err := defaultEngine.Run(context.Background(), Scenario{
-		Model:    Abstract(),
-		N:        n,
-		Workload: TreeWorkload{},
-		Options:  opts,
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return *res.Batch, nil
 }

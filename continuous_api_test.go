@@ -5,11 +5,14 @@ import (
 	"time"
 )
 
+// continuous is the continuous-traffic Scenario of algo with n stations.
+func continuous(n int, algo string, arrivals ArrivalSpec, horizon time.Duration, opts ...Option) Scenario {
+	return Scenario{Model: WiFi(), Algorithm: Algorithm{spec: algo}, N: n,
+		Workload: ContinuousWorkload{Arrivals: arrivals, Horizon: horizon}, Options: opts}
+}
+
 func TestRunContinuousTrafficPoisson(t *testing.T) {
-	res, err := RunContinuousTraffic(8, BEB, Poisson(200), 100*time.Millisecond, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, continuous(8, BEB, Poisson(200), 100*time.Millisecond, WithSeed(1))).Traffic
 	if res.Offered == 0 || res.Delivered == 0 {
 		t.Fatalf("no traffic flowed: %+v", res)
 	}
@@ -22,11 +25,8 @@ func TestRunContinuousTrafficPoisson(t *testing.T) {
 }
 
 func TestRunContinuousTrafficSaturatedWithCWMin16(t *testing.T) {
-	res, err := RunContinuousTraffic(8, BEB, Saturated(), 100*time.Millisecond,
-		WithSeed(2), WithConfig(func(c *MACConfig) { c.CWMin = 16 }))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, continuous(8, BEB, Saturated(), 100*time.Millisecond,
+		WithSeed(2), WithConfig(func(c *MACConfig) { c.CWMin = 16 }))).Traffic
 	if res.JainFairness < 0.5 {
 		t.Fatalf("fairness %v too low with CWmin=16", res.JainFairness)
 	}
@@ -36,11 +36,8 @@ func TestRunContinuousTrafficSaturatedWithCWMin16(t *testing.T) {
 }
 
 func TestRunContinuousTrafficBursty(t *testing.T) {
-	res, err := RunContinuousTraffic(10, LLB,
-		BurstyPareto(1.5, 5*time.Millisecond, 6), 150*time.Millisecond, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, continuous(10, LLB,
+		BurstyPareto(1.5, 5*time.Millisecond, 6), 150*time.Millisecond, WithSeed(3))).Traffic
 	if res.Delivered == 0 {
 		t.Fatal("bursty run delivered nothing")
 	}
@@ -50,26 +47,19 @@ func TestRunContinuousTrafficBursty(t *testing.T) {
 }
 
 func TestRunContinuousTrafficValidation(t *testing.T) {
-	if _, err := RunContinuousTraffic(0, BEB, Saturated(), time.Millisecond); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := RunContinuousTraffic(5, BEB, Saturated(), 0); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-	if _, err := RunContinuousTraffic(5, "WAT", Saturated(), time.Millisecond); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if _, err := RunContinuousTraffic(5, BEB, Poisson(-1), time.Millisecond); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if _, err := RunContinuousTraffic(5, BEB, Periodic(0), time.Millisecond); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := RunContinuousTraffic(5, BEB, BurstyPareto(0.5, 0, 0), time.Millisecond); err == nil {
-		t.Fatal("bad pareto accepted")
-	}
-	if _, err := RunContinuousTraffic(5, BEB, ArrivalSpec{}, time.Millisecond); err == nil {
-		t.Fatal("empty arrival spec accepted")
+	var eng Engine
+	for name, s := range map[string]Scenario{
+		"n=0":                continuous(0, BEB, Saturated(), time.Millisecond),
+		"zero horizon":       continuous(5, BEB, Saturated(), 0),
+		"unknown algorithm":  continuous(5, "WAT", Saturated(), time.Millisecond),
+		"negative rate":      continuous(5, BEB, Poisson(-1), time.Millisecond),
+		"zero interval":      continuous(5, BEB, Periodic(0), time.Millisecond),
+		"bad pareto":         continuous(5, BEB, BurstyPareto(0.5, 0, 0), time.Millisecond),
+		"empty arrival spec": continuous(5, BEB, ArrivalSpec{}, time.Millisecond),
+	} {
+		if _, err := eng.Run(t.Context(), s); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
@@ -88,25 +78,19 @@ func TestPredictSaturatedThroughput(t *testing.T) {
 }
 
 func TestRunTreeBatchAPI(t *testing.T) {
-	res, err := RunTreeBatch(100, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm != "TREE" || res.CWSlots < 100 {
+	tree := Scenario{Model: Abstract(), N: 100, Workload: TreeWorkload{}, Options: []Option{WithSeed(4)}}
+	if res := mustRun(t, tree).Batch; res.Algorithm != "TREE" || res.CWSlots < 100 {
 		t.Fatalf("tree result: %+v", res)
 	}
-	if _, err := RunTreeBatch(0); err == nil {
+	tree.N = 0
+	if _, err := new(Engine).Run(t.Context(), tree); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 }
 
 func TestContinuousTrafficDeterministic(t *testing.T) {
 	run := func() TrafficResult {
-		r, err := RunContinuousTraffic(6, STB, Poisson(300), 80*time.Millisecond, WithSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return *mustRun(t, continuous(6, STB, Poisson(300), 80*time.Millisecond, WithSeed(7))).Traffic
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same options diverged: %+v vs %+v", a, b)

@@ -48,7 +48,7 @@ func WiFi() Model { return wifiModel{} }
 // semantics priced in the abstract currency. It exists for the alignment
 // ablation DESIGN.md documents; the paper's analysis assumes aligned
 // windows, which Abstract implements.
-func AbstractUnaligned() Model { return abstractUnalignedModel{} }
+func AbstractUnaligned() Model { return abstractModel{unaligned: true} }
 
 // errUnsupported formats the model × workload incompatibility error.
 func errUnsupported(m Model, w Workload) error {
@@ -58,69 +58,50 @@ func errUnsupported(m Model, w Workload) error {
 
 // --- Abstract slotted model -------------------------------------------------
 
-type abstractModel struct{}
+// abstractModel is the abstract slotted model. With unaligned set, stations
+// keep per-station contention windows instead of globally aligned ones (the
+// alignment ablation); tree splitting is defined on aligned windows only.
+type abstractModel struct{ unaligned bool }
 
-func (abstractModel) Name() string { return "abstract" }
-
-func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, error) {
-	switch s.workload().(type) {
-	case SingleBatch:
-		f, err := s.Algorithm.factory()
-		if err != nil {
-			return Result{}, err
-		}
-		g := o.stream(fmt.Sprintf("abstract|%s|n=%d", s.Algorithm, s.N))
-		res := slotted.RunBatch(s.N, f, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     s.Algorithm.String(),
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
-	case TreeWorkload:
-		g := o.stream(fmt.Sprintf("tree|n=%d", s.N))
-		res := slotted.RunTreeBatch(s.N, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     "TREE",
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
-	default:
-		return Result{}, errUnsupported(m, s.workload())
+func (m abstractModel) Name() string {
+	if m.unaligned {
+		return "abstract-unaligned"
 	}
+	return "abstract"
 }
 
-// --- Abstract model, per-station windows (alignment ablation) ---------------
-
-type abstractUnalignedModel struct{}
-
-func (abstractUnalignedModel) Name() string { return "abstract-unaligned" }
-
-func (m abstractUnalignedModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+	algo := s.Algorithm.String()
+	var res slotted.Result
 	switch s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
 			return Result{}, err
 		}
-		g := o.stream(fmt.Sprintf("abstract-unaligned|%s|n=%d", s.Algorithm, s.N))
-		res := slotted.RunBatchUnaligned(s.N, f, g)
-		return Result{Batch: &BatchResult{
-			N:             s.N,
-			Model:         m.Name(),
-			Algorithm:     s.Algorithm.String(),
-			CWSlots:       res.CWSlots,
-			Collisions:    res.Collisions,
-			CWSlotsAtHalf: res.HalfSlots,
-		}}, nil
+		g := o.stream(fmt.Sprintf("%s|%s|n=%d", m.Name(), s.Algorithm, s.N))
+		if m.unaligned {
+			res = slotted.RunBatchUnaligned(s.N, f, g)
+		} else {
+			res = slotted.RunBatch(s.N, f, g)
+		}
+	case TreeWorkload:
+		if m.unaligned {
+			return Result{}, errUnsupported(m, s.workload())
+		}
+		algo = "TREE"
+		res = slotted.RunTreeBatch(s.N, o.stream(fmt.Sprintf("tree|n=%d", s.N)))
 	default:
 		return Result{}, errUnsupported(m, s.workload())
 	}
+	return Result{Batch: &BatchResult{
+		N:             s.N,
+		Model:         m.Name(),
+		Algorithm:     algo,
+		CWSlots:       res.CWSlots,
+		Collisions:    res.Collisions,
+		CWSlotsAtHalf: res.HalfSlots,
+	}}, nil
 }
 
 // --- IEEE 802.11g DCF model -------------------------------------------------
@@ -148,11 +129,6 @@ func materializeMACConfig(w Workload, o options) mac.Config {
 	return cfg
 }
 
-// config materializes the MAC configuration from resolved options.
-func (wifiModel) config(o options) mac.Config {
-	return materializeMACConfig(SingleBatch{}, o)
-}
-
 func (wifiModel) tracer(o options) mac.Tracer {
 	if o.tracer != nil {
 		return o.tracer
@@ -160,44 +136,49 @@ func (wifiModel) tracer(o options) mac.Tracer {
 	return nil
 }
 
+// batchResult converts a MAC batch outcome run under cfg into the public
+// BatchResult, for single batches and best-of-k alike.
+func (m wifiModel) batchResult(cfg mac.Config, n int, algo string, res mac.Result) BatchResult {
+	d := core.Decompose(cfg, res)
+	return BatchResult{
+		N:                 n,
+		Model:             m.Name(),
+		Algorithm:         algo,
+		CWSlots:           res.CWSlots,
+		Collisions:        res.Collisions,
+		TotalTime:         res.TotalTime,
+		HalfTime:          res.HalfTime,
+		CWSlotsAtHalf:     res.CWSlotsAtHalf,
+		MaxAckTimeouts:    res.MaxAckTimeouts,
+		MaxAckTimeoutWait: res.MaxAckTimeoutWait,
+		Captures:          res.Captures,
+		Stations:          append([]StationStats(nil), res.Stations...),
+		Decomposition:     &d,
+	}
+}
+
 func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+	cfg := materializeMACConfig(s.workload(), o)
 	switch w := s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
 			return Result{}, err
 		}
-		cfg := m.config(o)
 		g := o.stream(fmt.Sprintf("wifi|%s|n=%d", s.Algorithm, s.N))
 		res := mac.RunBatch(cfg, s.N, f, g, m.tracer(o))
 		if o.simStats != nil {
 			*o.simStats = res.Kernel
 		}
-		d := core.Decompose(cfg, res)
-		return Result{Batch: &BatchResult{
-			N:                 s.N,
-			Model:             m.Name(),
-			Algorithm:         s.Algorithm.String(),
-			CWSlots:           res.CWSlots,
-			Collisions:        res.Collisions,
-			TotalTime:         res.TotalTime,
-			HalfTime:          res.HalfTime,
-			CWSlotsAtHalf:     res.CWSlotsAtHalf,
-			MaxAckTimeouts:    res.MaxAckTimeouts,
-			MaxAckTimeoutWait: res.MaxAckTimeoutWait,
-			Captures:          res.Captures,
-			Stations:          append([]StationStats(nil), res.Stations...),
-			Decomposition:     &d,
-		}}, nil
+		b := m.batchResult(cfg, s.N, s.Algorithm.String(), res)
+		return Result{Batch: &b}, nil
 
 	case BestOfKWorkload:
-		cfg := materializeMACConfig(w, o)
 		g := o.stream(fmt.Sprintf("bok|k=%d|n=%d", w.K, s.N))
 		res := mac.RunBestOfK(cfg, mac.DefaultBestOfK(w.K), s.N, g, m.tracer(o))
 		if o.simStats != nil {
 			*o.simStats = res.Kernel
 		}
-		d := core.Decompose(cfg, res.Result)
 		ests := append([]int(nil), res.Estimates...)
 		for i := 1; i < len(ests); i++ {
 			for j := i; j > 0 && ests[j] < ests[j-1]; j-- {
@@ -205,21 +186,7 @@ func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error)
 			}
 		}
 		return Result{BestOfK: &BestOfKResult{
-			BatchResult: BatchResult{
-				N:                 s.N,
-				Model:             m.Name(),
-				Algorithm:         fmt.Sprintf("Best-of-%d", w.K),
-				CWSlots:           res.CWSlots,
-				Collisions:        res.Collisions,
-				TotalTime:         res.TotalTime,
-				HalfTime:          res.HalfTime,
-				CWSlotsAtHalf:     res.CWSlotsAtHalf,
-				MaxAckTimeouts:    res.MaxAckTimeouts,
-				MaxAckTimeoutWait: res.MaxAckTimeoutWait,
-				Captures:          res.Captures,
-				Stations:          append([]StationStats(nil), res.Stations...),
-				Decomposition:     &d,
-			},
+			BatchResult:    m.batchResult(cfg, s.N, fmt.Sprintf("Best-of-%d", w.K), res.Result),
 			MedianEstimate: ests[len(ests)/2],
 			EstimationTime: res.EstimationTime,
 		}}, nil
@@ -233,7 +200,6 @@ func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error)
 		if err != nil {
 			return Result{}, err
 		}
-		cfg := m.config(o)
 		g := o.stream(fmt.Sprintf("traffic|%s|%s|n=%d", s.Algorithm, proc.Name(), s.N))
 		res := mac.RunContinuous(cfg, s.N, f, proc, w.Horizon, g, m.tracer(o))
 		if o.simStats != nil {
@@ -311,9 +277,6 @@ func (e Engine) WithStore(st *Store) *Engine {
 	e.Store = st
 	return &e
 }
-
-// defaultEngine backs the package-level legacy wrappers.
-var defaultEngine Engine
 
 // Run validates and executes one scenario synchronously. It returns
 // ctx.Err() without running if the context is already cancelled; a started

@@ -2,78 +2,25 @@ package repro
 
 import (
 	"context"
-	"reflect"
 	"testing"
 	"time"
 )
 
-func TestEngineRunMatchesLegacyWrappers(t *testing.T) {
-	var eng Engine
-	ctx := t.Context()
+// mustRun executes s on a zero Engine, failing t on error: the test-side
+// shorthand for Engine.Run.
+func mustRun(t testing.TB, s Scenario) Result {
+	t.Helper()
+	res, err := new(Engine).Run(t.Context(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
-	t.Run("wifi batch", func(t *testing.T) {
-		want, err := RunWiFiBatch(30, "LLB", WithSeed(42), WithPayload(1024))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Run(ctx, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("LLB"), N: 30,
-			Options: []Option{WithSeed(42), WithPayload(1024)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*got.Batch, want) {
-			t.Errorf("scenario path diverged:\n got %+v\nwant %+v", *got.Batch, want)
-		}
-	})
-
-	t.Run("abstract batch", func(t *testing.T) {
-		want, _ := RunAbstractBatch(50, "STB", WithSeed(7))
-		got, err := eng.Run(ctx, Scenario{Model: Abstract(), Algorithm: MustAlgorithm("STB"), N: 50,
-			Options: []Option{WithSeed(7)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*got.Batch, want) {
-			t.Errorf("scenario path diverged:\n got %+v\nwant %+v", *got.Batch, want)
-		}
-	})
-
-	t.Run("best-of-k", func(t *testing.T) {
-		want, _ := RunBestOfK(30, 3, WithSeed(42))
-		got, err := eng.Run(ctx, Scenario{Model: WiFi(), N: 30, Workload: BestOfKWorkload{K: 3},
-			Options: []Option{WithSeed(42)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*got.BestOfK, want) {
-			t.Errorf("scenario path diverged:\n got %+v\nwant %+v", *got.BestOfK, want)
-		}
-	})
-
-	t.Run("tree", func(t *testing.T) {
-		want, _ := RunTreeBatch(100, WithSeed(5))
-		got, err := eng.Run(ctx, Scenario{Model: Abstract(), N: 100, Workload: TreeWorkload{},
-			Options: []Option{WithSeed(5)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*got.Batch, want) {
-			t.Errorf("scenario path diverged:\n got %+v\nwant %+v", *got.Batch, want)
-		}
-	})
-
-	t.Run("continuous", func(t *testing.T) {
-		want, _ := RunContinuousTraffic(8, "BEB", Poisson(200), 50*time.Millisecond, WithSeed(1))
-		got, err := eng.Run(ctx, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 8,
-			Workload: ContinuousWorkload{Arrivals: Poisson(200), Horizon: 50 * time.Millisecond},
-			Options:  []Option{WithSeed(1)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*got.Traffic, want) {
-			t.Errorf("scenario path diverged:\n got %+v\nwant %+v", *got.Traffic, want)
-		}
-	})
+// runBatch runs the single-batch scenario of algo with n stations under m.
+func runBatch(t testing.TB, m Model, algo string, n int, opts ...Option) BatchResult {
+	t.Helper()
+	return *mustRun(t, Scenario{Model: m, Algorithm: MustAlgorithm(algo), N: n, Options: opts}).Batch
 }
 
 func TestEngineRunRejectsInvalidScenarios(t *testing.T) {

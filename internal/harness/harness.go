@@ -84,10 +84,10 @@ func (t Table) PercentVsBaseline(series, baseline string) (float64, error) {
 
 // ForEach runs fn(i) for every i in [0, n) across a pool of up to workers
 // goroutines (0 = GOMAXPROCS) and blocks until all calls return. It is the
-// single parallel primitive of the repository: both the figure sweeps here
-// and the public Engine.Sweep/RunMany fan out through it. Work items must
-// be independent; determinism comes from deriving per-item RNG streams, not
-// from scheduling order.
+// single parallel primitive of the repository: the public
+// Engine.Sweep/RunMany, and so every figure sweep, fan out through it. Work
+// items must be independent; determinism comes from deriving per-item RNG
+// streams, not from scheduling order.
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -98,14 +98,12 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		sort.Slice(draws, func(i, j int) bool { return draws[i].slot < draws[j].slot })
 
 		// Walk runs of equal slot index.
-		occupied := 0
 		next := pending[:0]
 		for i := 0; i < len(draws); {
 			j := i + 1
 			for j < len(draws) && draws[j].slot == draws[i].slot {
 				j++
 			}
-			occupied++
 			if j-i == 1 {
 				pkt := draws[i].pkt
 				res.SingletonSlots++
@@ -128,7 +126,6 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		}
 		pending = next
 		offset += w
-		_ = occupied
 	}
 
 	for _, p := range res.FinishSlots {
@@ -142,20 +139,15 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		}
 	}
 	// Empty slots: every slot up to the makespan that held no transmission.
-	// Slots at or before CWSlots belong to fully processed windows except
-	// the tail of the final window (all empty past the last success, and
-	// excluded from the count by definition of CWSlots).
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions - trailingCollisionFree(res)
+	// Every singleton and collision slot lies at or before CWSlots by
+	// construction: the tail of the final window past the last success is
+	// empty and excluded by definition of CWSlots.
+	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
 	if res.EmptySlots < 0 {
 		res.EmptySlots = 0
 	}
 	return res
 }
-
-// trailingCollisionFree exists for clarity of the EmptySlots formula: all
-// collision and singleton slots lie at or before CWSlots by construction,
-// so nothing needs subtracting. Kept as a named zero for the formula above.
-func trailingCollisionFree(Result) int { return 0 }
 
 // RunBatchUnaligned simulates the same single batch but with per-station
 // window boundaries: after a failure a station waits until the end of its

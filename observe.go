@@ -9,12 +9,11 @@ package repro
 // obsguard analyzer in internal/lint enforces that split).
 //
 // The hook is strictly pay-for-use: with Engine.Observer nil, runCell
-// takes the exact pre-observability path — no time.Now calls, no CellInfo,
-// no allocations — which is what keeps the zero-alloc steady-state
-// invariant intact.
+// (sweep.go) reads no clock, builds no CellInfo and allocates nothing for
+// observation — which is what keeps the zero-alloc steady-state invariant
+// intact.
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/mac"
@@ -79,40 +78,4 @@ type CellInfo struct {
 // with or without one attached.
 type Observer interface {
 	ObserveCell(CellInfo)
-}
-
-// runCellObserved is runCell's instrumented twin: same store/admit/run
-// plumbing, plus wall-clock spans around each stage and an ObserveCell
-// callback once the cell is final. Kept separate so the nil-observer path
-// stays byte-for-byte the old code.
-func (e *Engine) runCellObserved(ctx context.Context, s Scenario, cellSeed uint64, fp string) (Result, error) {
-	start := time.Now()
-	info := CellInfo{Scenario: s, Seed: cellSeed, Fingerprint: fp, Start: start}
-	run := func() (Result, error) {
-		info.Simulated = true
-		if e.Admit != nil {
-			t0 := time.Now()
-			release, err := e.Admit(ctx)
-			info.AdmitWait = time.Since(t0)
-			if err != nil {
-				return Result{}, err
-			}
-			defer release()
-		}
-		t0 := time.Now()
-		res, err := e.Run(ctx, s.WithOptions(WithSeed(cellSeed), withSimStats(&info.Sim)))
-		info.SimDuration = time.Since(t0)
-		return res, err
-	}
-	var res Result
-	var err error
-	if e.Store == nil || fp == "" {
-		res, err = run()
-	} else {
-		res, err = e.Store.doTimed(fp, cellSeed, run, &info.PutDuration)
-	}
-	info.Total = time.Since(start)
-	info.Err = err
-	e.Observer.ObserveCell(info)
-	return res, err
 }

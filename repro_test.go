@@ -8,10 +8,7 @@ import (
 )
 
 func TestRunAbstractBatch(t *testing.T) {
-	res, err := RunAbstractBatch(50, BEB, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBatch(t, Abstract(), BEB, 50, WithSeed(1))
 	if res.Model != "abstract" || res.Algorithm != BEB || res.N != 50 {
 		t.Fatalf("metadata: %+v", res)
 	}
@@ -24,10 +21,7 @@ func TestRunAbstractBatch(t *testing.T) {
 }
 
 func TestRunWiFiBatch(t *testing.T) {
-	res, err := RunWiFiBatch(30, STB, WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBatch(t, WiFi(), STB, 30, WithSeed(2))
 	if res.TotalTime <= 0 || res.HalfTime <= 0 || res.HalfTime > res.TotalTime {
 		t.Fatalf("times: %+v", res)
 	}
@@ -37,84 +31,74 @@ func TestRunWiFiBatch(t *testing.T) {
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	if _, err := RunAbstractBatch(10, "WAT"); err == nil {
-		t.Fatal("abstract accepted unknown algorithm")
-	}
-	if _, err := RunWiFiBatch(10, "WAT"); err == nil {
-		t.Fatal("wifi accepted unknown algorithm")
+	var eng Engine
+	for _, m := range []Model{Abstract(), WiFi()} {
+		if _, err := eng.Run(t.Context(), Scenario{Model: m, Algorithm: Algorithm{spec: "WAT"}, N: 10}); err == nil {
+			t.Fatalf("%s accepted unknown algorithm", m.Name())
+		}
 	}
 }
 
 func TestBadNRejected(t *testing.T) {
-	if _, err := RunAbstractBatch(0, BEB); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := RunWiFiBatch(-1, BEB); err == nil {
-		t.Fatal("n=-1 accepted")
-	}
-	if _, err := RunBestOfK(0, 3); err == nil {
-		t.Fatal("best-of-k n=0 accepted")
+	var eng Engine
+	for name, s := range map[string]Scenario{
+		"n=0":           {Model: Abstract(), Algorithm: MustAlgorithm(BEB), N: 0},
+		"n=-1":          {Model: WiFi(), Algorithm: MustAlgorithm(BEB), N: -1},
+		"best-of-k n=0": {Model: WiFi(), N: 0, Workload: BestOfKWorkload{K: 3}},
+	} {
+		if _, err := eng.Run(t.Context(), s); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
 func TestDeterminismAcrossCalls(t *testing.T) {
-	a, _ := RunWiFiBatch(20, LLB, WithSeed(7))
-	b, _ := RunWiFiBatch(20, LLB, WithSeed(7))
+	a := runBatch(t, WiFi(), LLB, 20, WithSeed(7))
+	b := runBatch(t, WiFi(), LLB, 20, WithSeed(7))
 	if a.TotalTime != b.TotalTime || a.CWSlots != b.CWSlots {
 		t.Fatal("same options diverged")
 	}
-	c, _ := RunWiFiBatch(20, LLB, WithSeed(8))
+	c := runBatch(t, WiFi(), LLB, 20, WithSeed(8))
 	if a.TotalTime == c.TotalTime && a.CWSlots == c.CWSlots && a.Collisions == c.Collisions {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
 
 func TestPayloadOption(t *testing.T) {
-	small, _ := RunWiFiBatch(15, BEB, WithSeed(3), WithPayload(64))
-	large, _ := RunWiFiBatch(15, BEB, WithSeed(3), WithPayload(1024))
+	small := runBatch(t, WiFi(), BEB, 15, WithSeed(3), WithPayload(64))
+	large := runBatch(t, WiFi(), BEB, 15, WithSeed(3), WithPayload(1024))
 	if large.TotalTime <= small.TotalTime {
 		t.Fatalf("1024B (%v) not slower than 64B (%v)", large.TotalTime, small.TotalTime)
 	}
 }
 
 func TestRTSCTSOption(t *testing.T) {
-	res, err := RunWiFiBatch(10, BEB, WithSeed(4), WithRTSCTS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTime <= 0 {
+	if res := runBatch(t, WiFi(), BEB, 10, WithSeed(4), WithRTSCTS()); res.TotalTime <= 0 {
 		t.Fatal("RTS/CTS run failed")
 	}
 }
 
 func TestTraceOption(t *testing.T) {
 	rec := &trace.Recorder{}
-	if _, err := RunWiFiBatch(5, BEB, WithSeed(5), WithTrace(rec)); err != nil {
-		t.Fatal(err)
-	}
+	runBatch(t, WiFi(), BEB, 5, WithSeed(5), WithTrace(rec))
 	if len(rec.Events) == 0 {
 		t.Fatal("trace recorder captured nothing")
 	}
 }
 
 func TestWithConfigTweak(t *testing.T) {
-	slow, err := RunWiFiBatch(10, BEB, WithSeed(6), WithConfig(func(c *MACConfig) {
+	slow := runBatch(t, WiFi(), BEB, 10, WithSeed(6), WithConfig(func(c *MACConfig) {
 		c.AckTimeout = 400 * time.Microsecond
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, _ := RunWiFiBatch(10, BEB, WithSeed(6))
+	fast := runBatch(t, WiFi(), BEB, 10, WithSeed(6))
 	if slow.Collisions > 0 && slow.TotalTime <= fast.TotalTime {
 		t.Fatalf("longer ACK timeout (%v) not slower than default (%v)", slow.TotalTime, fast.TotalTime)
 	}
 }
 
 func TestRunBestOfK(t *testing.T) {
-	res, err := RunBestOfK(40, 5, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, Scenario{Model: WiFi(), N: 40, Workload: BestOfKWorkload{K: 5},
+		Options: []Option{WithSeed(9)}}).BestOfK
 	if res.MedianEstimate < 40 {
 		t.Fatalf("median estimate %d underestimates n=40", res.MedianEstimate)
 	}
@@ -124,12 +108,8 @@ func TestRunBestOfK(t *testing.T) {
 }
 
 func TestFixedAndPolyAlgorithms(t *testing.T) {
-	if _, err := RunAbstractBatch(20, "FIXED:64", WithSeed(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunAbstractBatch(20, "POLY:2", WithSeed(10)); err != nil {
-		t.Fatal(err)
-	}
+	runBatch(t, Abstract(), "FIXED:64", 20, WithSeed(10))
+	runBatch(t, Abstract(), "POLY:2", 20, WithSeed(10))
 }
 
 func TestAlgorithmsList(t *testing.T) {

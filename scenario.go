@@ -138,7 +138,9 @@ type TreeWorkload struct{}
 func (TreeWorkload) workloadName() string { return "tree" }
 
 // ContinuousWorkload runs the MAC under ongoing arrivals for a fixed
-// horizon instead of a single batch. WiFi model only.
+// horizon instead of a single batch. WiFi model only. The paper's Table I
+// CWmin = 1 causes channel capture under saturation; pass WithConfig to
+// raise CWMin (16 is the 802.11 standard) for steady-state studies.
 type ContinuousWorkload struct {
 	// Arrivals selects the packet-arrival process (Poisson, Periodic,
 	// Saturated, BurstyPareto).
@@ -163,8 +165,8 @@ type Scenario struct {
 	N int
 	// Workload is what the stations do; nil means SingleBatch.
 	Workload Workload
-	// Options carries the run options shared with the legacy API: WithSeed,
-	// WithPayload, WithRTSCTS, WithTrace, WithConfig.
+	// Options carries the run options: WithSeed, WithRawSeed, WithPayload,
+	// WithRTSCTS, WithTrace, WithConfig.
 	Options []Option
 }
 

@@ -14,6 +14,7 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -142,6 +143,11 @@ func (st *Store) Put(fp string, seed uint64, r Result) error {
 	return nil
 }
 
+// errLeaderAborted is a flight's outcome until its leader's run returns,
+// so followers of a leader that panicked retry instead of mistaking the
+// abandoned flight for a hit with a zero Result.
+var errLeaderAborted = errors.New("repro: in-flight leader did not complete")
+
 // do serves one cell: a Get hit replays the stored Result; otherwise the
 // first caller for (fp, seed) becomes the leader and simulates while
 // concurrent duplicates wait and share its outcome, so identical in-flight
@@ -149,16 +155,10 @@ func (st *Store) Put(fp string, seed uint64, r Result) error {
 // followers are released; errors are never cached (a follower whose leader
 // failed retries from the top, where its own context error surfaces). A
 // write-through failure does not fail the cell — the computed Result is
-// served and the error is recorded in Stats.WriteErr.
-func (st *Store) do(fp string, seed uint64, run func() (Result, error)) (Result, error) {
-	return st.doTimed(fp, seed, run, nil)
-}
-
-// doTimed is do with an optional write-through timer: when putDur is
-// non-nil, the wall time of the leader's Put lands there. A nil putDur
-// reads no clock at all, so the uncached path costs exactly what do always
-// cost — the nil-observer contract extends down to here.
-func (st *Store) doTimed(fp string, seed uint64, run func() (Result, error), putDur *time.Duration) (Result, error) {
+// served and the error is recorded in Stats.WriteErr. When putDur is
+// non-nil, the wall time of the leader's Put lands there; a nil putDur
+// reads no clock, which extends the nil-observer contract down to here.
+func (st *Store) do(fp string, seed uint64, run func() (Result, error), putDur *time.Duration) (Result, error) {
 	k := store.Key{Fingerprint: fp, Seed: seed}
 	for {
 		if res, ok := st.Get(fp, seed); ok {
@@ -182,35 +182,43 @@ func (st *Store) doTimed(fp string, seed uint64, run func() (Result, error), put
 			st.hits.Add(1)
 			return res, nil
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), err: errLeaderAborted}
 		st.inflight[k] = f
 		st.mu.Unlock()
+		return st.lead(k, f, run, putDur)
+	}
+}
 
-		st.misses.Add(1)
-		f.res, f.err = run()
-		if f.err == nil {
-			var perr error
-			if putDur != nil {
-				t0 := time.Now()
-				perr = st.Put(fp, seed, f.res)
-				*putDur = time.Since(t0)
-			} else {
-				perr = st.Put(fp, seed, f.res)
-			}
-			if perr != nil {
-				st.mu.Lock()
-				if st.writeErr == nil {
-					st.writeErr = perr
-				}
-				st.mu.Unlock()
-			}
-		}
+// lead runs the leader's simulation for flight f and writes a successful
+// result through. The flight is retired and its followers released even if
+// run panics; the panic then propagates to the leader's caller.
+func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur *time.Duration) (Result, error) {
+	defer func() {
 		st.mu.Lock()
 		delete(st.inflight, k)
 		st.mu.Unlock()
 		close(f.done)
-		return f.res, f.err
+	}()
+	st.misses.Add(1)
+	f.res, f.err = run()
+	if f.err == nil {
+		var t0 time.Time
+		if putDur != nil {
+			t0 = time.Now()
+		}
+		perr := st.Put(k.Fingerprint, k.Seed, f.res)
+		if putDur != nil {
+			*putDur = time.Since(t0)
+		}
+		if perr != nil {
+			st.mu.Lock()
+			if st.writeErr == nil {
+				st.writeErr = perr
+			}
+			st.mu.Unlock()
+		}
 	}
+	return f.res, f.err
 }
 
 // StoreStats describes a store's contents and its service counters.

@@ -49,6 +49,8 @@ func TestFingerprintGolden(t *testing.T) {
 			"v1:a95031db10bddfaf42d5066df5d761121c59c25f4a1e957fcb68867a6c4b20be"},
 		{"abstract-batch", Scenario{Model: Abstract(), Algorithm: MustAlgorithm("STB"), N: 100},
 			"v1:22bca47b6673bfd5e23ae1992cde7d10df3f09e89c74c082459e59fb3815393e"},
+		{"abstract-unaligned-batch", Scenario{Model: AbstractUnaligned(), Algorithm: MustAlgorithm("BEB"), N: 30},
+			"v1:e5b8e4ce780098933beb601f033720f0523338d2a62c4bf84c86ee8c4ea00a72"},
 		{"tree", Scenario{Model: Abstract(), N: 50, Workload: TreeWorkload{}},
 			"v1:30a2d6150613410770896a6a640718f2d5c5bf587c8d4e1b2ccc40a200ee4ca2"},
 		{"best-of-3", Scenario{Model: WiFi(), N: 50, Workload: BestOfKWorkload{K: 3}},
@@ -379,6 +381,66 @@ func TestConcurrentSweepsShareOneStore(t *testing.T) {
 	}
 	if s := st.Stats(); s.Records != wantCells || s.WriteErr != nil {
 		t.Fatalf("store stats %+v, want %d records", s, wantCells)
+	}
+}
+
+// TestStoreLeaderPanicReleasesFollowers: a singleflight leader whose run
+// panics must neither strand the callers waiting on its cell nor hand them
+// its zero Result as a hit, and must leave no in-flight entry behind.
+func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const fp, seed = "v1:leader-panic", 7
+
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		st.do(fp, seed, func() (Result, error) {
+			close(entered)
+			<-unblock
+			panic("leader died")
+		}, nil)
+	}()
+	<-entered
+
+	// The follower joins the leader's flight; its own run fails, so the
+	// error proves it simulated itself rather than replaying a phantom hit.
+	followerErr := errors.New("follower simulated")
+	followed := make(chan error, 1)
+	go func() {
+		_, err := st.do(fp, seed, func() (Result, error) { return Result{}, followerErr }, nil)
+		followed <- err
+	}()
+	// Give the follower time to park on the flight. A follower that arrives
+	// after the panic leads instead, and every assertion below holds either
+	// way; the pause only makes the stranding case the one exercised.
+	time.Sleep(20 * time.Millisecond)
+	close(unblock)
+
+	if p := <-recovered; p == nil {
+		t.Fatal("leader's panic was swallowed")
+	}
+	select {
+	case err := <-followed:
+		if !errors.Is(err, followerErr) {
+			t.Fatalf("follower returned %v, want its own simulation's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower stranded by a panicked leader")
+	}
+
+	want := Result{Batch: &BatchResult{N: 1}}
+	simulated := false
+	got, err := st.do(fp, seed, func() (Result, error) { simulated = true; return want, nil }, nil)
+	if err != nil || !simulated || !reflect.DeepEqual(got, want) {
+		t.Fatalf("third caller: simulated=%t got %+v err %v", simulated, got, err)
+	}
+	if n := st.Stats().InFlight; n != 0 {
+		t.Fatalf("%d in-flight entries left behind", n)
 	}
 }
 

@@ -36,31 +36,19 @@ func TestPaperStory(t *testing.T) {
 		algo := algo
 		res[algo] = agg{
 			cwAbstract: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunAbstractBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := runBatch(t, Abstract(), algo, n, WithSeed(seed))
 				return float64(r.CWSlots)
 			}),
 			cwWifi: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := runBatch(t, WiFi(), algo, n, WithSeed(seed))
 				return float64(r.CWSlots)
 			}),
 			total: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := runBatch(t, WiFi(), algo, n, WithSeed(seed))
 				return float64(r.TotalTime)
 			}),
 			collisions: medians(t, trials, func(seed uint64) float64 {
-				r, err := RunWiFiBatch(n, algo, WithSeed(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := runBatch(t, WiFi(), algo, n, WithSeed(seed))
 				return float64(r.Collisions)
 			}),
 		}
@@ -92,11 +80,7 @@ func TestPaperStory(t *testing.T) {
 			t.Errorf("Result 3: %s collisions %v <= BEB %v", a, res[a].collisions, res["BEB"].collisions)
 		}
 	}
-	one, err := RunWiFiBatch(n, BEB, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := one.Decomposition
+	d := runBatch(t, WiFi(), BEB, n, WithSeed(5)).Decomposition
 	if d.TransmissionTime <= d.AckTimeoutTime {
 		t.Errorf("Result 3: (I) %v not above (II) %v", d.TransmissionTime, d.AckTimeoutTime)
 	}
@@ -106,10 +90,8 @@ func TestPaperStory(t *testing.T) {
 
 	// Result 7: the size-estimation approach beats BEB on total time.
 	bok := medians(t, trials, func(seed uint64) float64 {
-		r, err := RunBestOfK(n, 3, WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustRun(t, Scenario{Model: WiFi(), N: n, Workload: BestOfKWorkload{K: 3},
+			Options: []Option{WithSeed(seed)}}).BestOfK
 		return float64(r.TotalTime)
 	})
 	if bok >= res["BEB"].total {
@@ -122,15 +104,20 @@ func TestPaperStory(t *testing.T) {
 // (n, algorithm) pairs: all runs complete, metrics stay consistent, and
 // both models agree that every packet finished.
 func TestAPIInvariantsQuick(t *testing.T) {
-	algos := Algorithms()
+	algos := PaperAlgorithmList()
+	var eng Engine
+	batch := func(m Model, algo Algorithm, n int, seed uint64) (*BatchResult, error) {
+		res, err := eng.Run(t.Context(), Scenario{Model: m, Algorithm: algo, N: n, Options: []Option{WithSeed(seed)}})
+		return res.Batch, err
+	}
 	err := quick.Check(func(nRaw uint8, algoRaw uint8, seed uint16) bool {
 		n := int(nRaw%40) + 1
 		algo := algos[int(algoRaw)%len(algos)]
-		abs, err := RunAbstractBatch(n, algo, WithSeed(uint64(seed)))
+		abs, err := batch(Abstract(), algo, n, uint64(seed))
 		if err != nil || abs.CWSlots < n {
 			return false
 		}
-		wifi, err := RunWiFiBatch(n, algo, WithSeed(uint64(seed)))
+		wifi, err := batch(WiFi(), algo, n, uint64(seed))
 		if err != nil {
 			return false
 		}
@@ -161,14 +148,8 @@ func TestCostModelExplainsGap(t *testing.T) {
 	const n = 120
 	var measured, modeled []float64
 	for seed := uint64(0); seed < 9; seed++ {
-		stb, err := RunWiFiBatch(n, STB, WithSeed(seed), WithPayload(1024))
-		if err != nil {
-			t.Fatal(err)
-		}
-		beb, err := RunWiFiBatch(n, BEB, WithSeed(seed), WithPayload(1024))
-		if err != nil {
-			t.Fatal(err)
-		}
+		stb := runBatch(t, WiFi(), STB, n, WithSeed(seed), WithPayload(1024))
+		beb := runBatch(t, WiFi(), BEB, n, WithSeed(seed), WithPayload(1024))
 		measured = append(measured, float64(stb.TotalTime-beb.TotalTime))
 		// Model: C·(P+ρ) + W·s with the full 1088-byte frame duration as
 		// P+ρ and the 9 µs slot as s.

@@ -11,6 +11,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/rng"
@@ -65,8 +66,8 @@ type SeedFunc func(si, ti int) uint64
 // pool and streams the cells in stable row-major order: all seeds of
 // scenario 0, then scenario 1, and so on, regardless of which worker
 // finishes first. Each cell runs the scenario reseeded with its grid seed,
-// so a cell's Result is bit-identical to a serial Engine.Run (or legacy
-// Run*) call with the same seed.
+// so a cell's Result is bit-identical to a serial Engine.Run call with the
+// same seed.
 //
 // Cancelling ctx stops the sweep early: cells not yet started report
 // ctx.Err(), and the stream closes without emitting cells past the
@@ -159,24 +160,58 @@ func (e *Engine) fingerprints(scenarios []Scenario) []string {
 // through the store: replayed on a hit, simulated and written through on a
 // miss, deduplicated against identical in-flight cells. Replayed cells are
 // bit-identical to simulated ones, so callers cannot tell the difference.
+//
+// With an Observer attached, the cell is also timed stage by stage and
+// reported once final. Every clock read hangs off info, which is non-nil
+// only then, so an unobserved cell reads no clock and allocates nothing
+// for observation.
 func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string) (Result, error) {
+	var info *CellInfo
+	var putDur *time.Duration
 	if e.Observer != nil {
-		return e.runCellObserved(ctx, s, seed, fp)
+		info = &CellInfo{Scenario: s, Seed: seed, Fingerprint: fp, Start: time.Now()}
+		putDur = &info.PutDuration
 	}
 	run := func() (Result, error) {
+		// Room for withSimStats up front: the observed path then appends
+		// without growing the slice onto the heap.
+		opts := append(make([]Option, 0, 2), WithSeed(seed))
+		var t0 time.Time
+		if info != nil {
+			info.Simulated = true
+			opts = append(opts, withSimStats(&info.Sim))
+			t0 = time.Now()
+		}
 		if e.Admit != nil {
 			release, err := e.Admit(ctx)
+			if info != nil {
+				info.AdmitWait = time.Since(t0)
+				t0 = time.Now()
+			}
 			if err != nil {
 				return Result{}, err
 			}
 			defer release()
 		}
-		return e.Run(ctx, s.WithOptions(WithSeed(seed)))
+		res, err := e.Run(ctx, s.WithOptions(opts...))
+		if info != nil {
+			info.SimDuration = time.Since(t0)
+		}
+		return res, err
 	}
+	var res Result
+	var err error
 	if e.Store == nil || fp == "" {
-		return run()
+		res, err = run()
+	} else {
+		res, err = e.Store.do(fp, seed, run, putDur)
 	}
-	return e.Store.do(fp, seed, run)
+	if info != nil {
+		info.Total = time.Since(info.Start)
+		info.Err = err
+		e.Observer.ObserveCell(*info)
+	}
+	return res, err
 }
 
 // rejectTracer refuses scenarios that would feed a shared trace.Recorder

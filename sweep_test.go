@@ -9,8 +9,8 @@ import (
 )
 
 // TestSweepBitIdenticalToSerialRuns is the determinism contract: every cell
-// of a parallel sweep must equal the serial legacy Run* call with the same
-// seed, bit for bit, regardless of worker count or scheduling order.
+// of a parallel sweep must equal the serial Engine.Run of its scenario with
+// the same seed, bit for bit, regardless of worker count or scheduling order.
 func TestSweepBitIdenticalToSerialRuns(t *testing.T) {
 	scenarios := []Scenario{
 		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 25},
@@ -28,22 +28,9 @@ func TestSweepBitIdenticalToSerialRuns(t *testing.T) {
 				t.Fatalf("workers=%d cell (%d,%d): %v", workers, cell.ScenarioIndex, cell.SeedIndex, cell.Err)
 			}
 			seed := seeds[cell.SeedIndex]
-			switch cell.ScenarioIndex {
-			case 0:
-				want, _ := RunWiFiBatch(25, "BEB", WithSeed(seed))
-				if !reflect.DeepEqual(*cell.Result.Batch, want) {
-					t.Errorf("workers=%d wifi cell seed %d diverged from serial run", workers, seed)
-				}
-			case 1:
-				want, _ := RunAbstractBatch(40, "LLB", WithSeed(seed))
-				if !reflect.DeepEqual(*cell.Result.Batch, want) {
-					t.Errorf("workers=%d abstract cell seed %d diverged from serial run", workers, seed)
-				}
-			case 2:
-				want, _ := RunBestOfK(20, 3, WithSeed(seed))
-				if !reflect.DeepEqual(*cell.Result.BestOfK, want) {
-					t.Errorf("workers=%d best-of-k cell seed %d diverged from serial run", workers, seed)
-				}
+			want := mustRun(t, scenarios[cell.ScenarioIndex].WithOptions(WithSeed(seed)))
+			if !reflect.DeepEqual(cell.Result, want) {
+				t.Errorf("workers=%d cell (%d, seed %d) diverged from serial run", workers, cell.ScenarioIndex, seed)
 			}
 		}
 		if cells != len(scenarios)*len(seeds) {
@@ -87,7 +74,7 @@ func TestSweepSeedOverridesScenarioSeed(t *testing.T) {
 		if cell.Err != nil {
 			t.Fatal(cell.Err)
 		}
-		want, _ := RunWiFiBatch(15, "BEB", WithSeed(3))
+		want := runBatch(t, WiFi(), BEB, 15, WithSeed(3))
 		if !reflect.DeepEqual(*cell.Result.Batch, want) {
 			t.Error("grid seed did not override the scenario's WithSeed")
 		}
