@@ -13,7 +13,6 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
-	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -29,7 +28,7 @@ func runFigure(b *testing.B, id string, cfg experiments.Config) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
-	var tab harness.Table
+	var tab repro.Table
 	for i := 0; i < b.N; i++ {
 		tab = gen.Run(cfg)
 	}
@@ -105,34 +104,17 @@ func BenchmarkMinPacket(b *testing.B) {
 
 func BenchmarkAblationCapture(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 24, Seed: 1}
-	var tab harness.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.AblationCapture(cfg)
-	}
-	for _, s := range tab.Series {
-		b.ReportMetric(s.Points[len(s.Points)-1].Median, s.Name+"_collisions")
-	}
+	runFigure(b, "ablation-capture", cfg)
 }
 
 func BenchmarkAblationAlignment(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 100, NStep: 50, Seed: 1}
-	var tab harness.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.AblationAlignment(cfg)
-	}
-	for _, s := range tab.Series {
-		b.ReportMetric(s.Points[len(s.Points)-1].Median, s.Name+"_collisions")
-	}
+	runFigure(b, "ablation-align", cfg)
 }
 
 func BenchmarkAblationAckTimeout(b *testing.B) {
 	cfg := experiments.Config{Trials: 3, NMax: 40, Seed: 1}
-	var tab harness.Table
-	for i := 0; i < b.N; i++ {
-		tab = experiments.AblationAckTimeout(cfg)
-	}
-	s := tab.Series[0]
-	b.ReportMetric(s.Points[len(s.Points)-1].Median, "wait_at_600us")
+	runFigure(b, "ablation-ackto", cfg)
 }
 
 func BenchmarkInstantDetectSpectrum(b *testing.B) {

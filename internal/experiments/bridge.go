@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/harness"
 	"repro/internal/rng"
 )
 
@@ -53,11 +52,11 @@ func batchMetric(name string, f func(repro.BatchResult) float64) repro.Metric {
 
 // series sweeps one figure series — the Scenario build(x) at every x, with
 // trials cells per point — through Engine.AggregateSeeded on the legacy
-// seed ladder, and shapes the report into a harness.Series for rendering.
+// seed ladder, and shapes the report into a repro.Series for rendering.
 // Figure definitions are static, so any scenario error is a bug: it panics
 // rather than returning a hollow table.
 func (c Config) series(name string, xs []float64, trials int, m repro.Metric,
-	build func(x float64) repro.Scenario) harness.Series {
+	build func(x float64) repro.Scenario) repro.Series {
 	if trials < 1 {
 		panic("experiments: series needs trials >= 1")
 	}
@@ -75,20 +74,22 @@ func (c Config) series(name string, xs []float64, trials int, m repro.Metric,
 }
 
 // reportSeries converts a one-metric report over an x-axis grid into a
-// harness.Series.
-func reportSeries(name string, xs []float64, rep *repro.Report) harness.Series {
+// repro.Series.
+func reportSeries(name string, xs []float64, rep *repro.Report) repro.Series {
 	if len(rep.Rows) != len(xs) {
 		panic(fmt.Sprintf("experiments: series %s: %d report rows for %d points", name, len(rep.Rows), len(xs)))
 	}
-	s := harness.Series{Name: name, Points: make([]harness.Point, len(xs))}
+	s := repro.Series{Name: name, Points: make([]repro.Point, len(xs))}
 	for i, row := range rep.Rows {
-		p := row.Summaries[0]
-		s.Points[i] = harness.Point{
-			X: xs[i], Median: p.Median, Lo: p.CI95Lo, Hi: p.CI95Hi,
-			Mean: p.Mean, Trials: p.Trials, Removed: p.Outliers,
-		}
+		s.Points[i] = repro.Point{X: xs[i], PointSummary: row.Summaries[0]}
 	}
 	return s
+}
+
+// exactPoint is a zero-width point for a series computed rather than
+// sampled: an analytic overlay, a reference line, a ratio of medians.
+func exactPoint(x, v float64, trials int) repro.Point {
+	return repro.Point{X: x, PointSummary: repro.PointSummary{Median: v, CI95Lo: v, CI95Hi: v, Mean: v, Trials: trials}}
 }
 
 // wholeConfig returns an option pinning the full MAC configuration, the way

@@ -1,5 +1,5 @@
 // Package experiments defines one regenerator per figure and table of the
-// paper's evaluation. Each produces a harness.Table whose series mirror the
+// paper's evaluation. Each produces a repro.Table whose series mirror the
 // paper's plotted lines; cmd/figures prints and saves them, the root
 // bench_test.go wraps them in benchmarks, and the integration tests assert
 // the paper's qualitative results on quick configurations.
@@ -11,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/backoff"
-	"repro/internal/harness"
 	"repro/internal/mac"
 )
 
@@ -79,7 +78,7 @@ func recoverCancelled(err *error) {
 // interrupted figure run) comes back as an ordinary error instead of the
 // panic a directly-invoked generator raises for what would otherwise be a
 // static-definition bug.
-func Run(ctx context.Context, g Generator, c Config) (tab harness.Table, err error) {
+func Run(ctx context.Context, g Generator, c Config) (tab repro.Table, err error) {
 	c.Ctx = ctx
 	defer recoverCancelled(&err)
 	return g.Run(c), nil
@@ -110,14 +109,26 @@ func (c Config) nAxis(defMax, defStep int) []float64 {
 	if lo > max {
 		lo = max
 	}
-	return harness.IntXs(lo, max, step)
+	return intXs(lo, max, step)
+}
+
+// intXs builds the x-axis lo, lo+step, ..., hi (inclusive when aligned).
+func intXs(lo, hi, step int) []float64 {
+	if step <= 0 || hi < lo {
+		panic("experiments: bad x-axis range")
+	}
+	var out []float64
+	for x := lo; x <= hi; x += step {
+		out = append(out, float64(x))
+	}
+	return out
 }
 
 // Generator regenerates one experiment.
 type Generator struct {
 	ID    string
 	Title string
-	Run   func(Config) harness.Table
+	Run   func(Config) repro.Table
 }
 
 // All returns every table-shaped experiment in paper order. Figure 13 (the
@@ -187,10 +198,10 @@ func macScenario(cfg mac.Config, algo repro.Algorithm) func(x float64) repro.Sce
 // macSweepTable runs the standard four-algorithm MAC sweep through the
 // public aggregation pipeline, one scenario grid per algorithm.
 func macSweepTable(c Config, id, title, ylabel string, cfg mac.Config, defTrials int,
-	metric func(repro.BatchResult) float64) harness.Table {
+	metric func(repro.BatchResult) float64) repro.Table {
 	xs := c.nAxis(150, 10)
 	m := batchMetric(ylabel, metric)
-	t := harness.Table{ID: id, Title: title, XLabel: "n", YLabel: ylabel}
+	t := repro.Table{ID: id, Title: title, XLabel: "n", YLabel: ylabel}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, xs, c.trials(defTrials), m, macScenario(cfg, repro.MustAlgorithm(name))))
@@ -201,7 +212,7 @@ func macSweepTable(c Config, id, title, ylabel string, cfg mac.Config, defTrials
 
 // addBaselineNotes appends the paper's headline percentages (vs BEB at the
 // largest n) to the table notes.
-func addBaselineNotes(t *harness.Table) {
+func addBaselineNotes(t *repro.Table) {
 	for _, s := range t.Series {
 		if s.Name == "BEB" {
 			continue

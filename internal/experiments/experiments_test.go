@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/harness"
+	"repro"
 )
 
-func lastMedian(t *testing.T, tab harness.Table, name string) float64 {
+func lastMedian(t *testing.T, tab repro.Table, name string) float64 {
 	t.Helper()
 	s := tab.SeriesByName(name)
 	if s == nil || len(s.Points) == 0 {
@@ -16,7 +16,7 @@ func lastMedian(t *testing.T, tab harness.Table, name string) float64 {
 	return s.Points[len(s.Points)-1].Median
 }
 
-func checkTableBasics(t *testing.T, tab harness.Table, wantSeries []string) {
+func checkTableBasics(t *testing.T, tab repro.Table, wantSeries []string) {
 	t.Helper()
 	if tab.ID == "" || tab.Title == "" {
 		t.Fatalf("table missing ID/title: %+v", tab)
@@ -30,8 +30,8 @@ func checkTableBasics(t *testing.T, tab harness.Table, wantSeries []string) {
 			if p.Median < 0 {
 				t.Fatalf("%s/%s: negative median at x=%v", tab.ID, name, p.X)
 			}
-			if p.Lo > p.Median || p.Hi < p.Median {
-				t.Fatalf("%s/%s: CI [%v,%v] does not bracket median %v", tab.ID, name, p.Lo, p.Hi, p.Median)
+			if p.CI95Lo > p.Median || p.CI95Hi < p.Median {
+				t.Fatalf("%s/%s: CI [%v,%v] does not bracket median %v", tab.ID, name, p.CI95Lo, p.CI95Hi, p.Median)
 			}
 		}
 	}
@@ -161,6 +161,16 @@ func TestFigure14SlopePositive(t *testing.T) {
 	first, last := s.Points[0].Median, s.Points[len(s.Points)-1].Median
 	if last <= first {
 		t.Errorf("fig14: LLB-BEB gap did not grow with payload (%v -> %v)", first, last)
+	}
+}
+
+// A payload step past the 1000-byte maximum clamps to a single point at the
+// maximum instead of asking for an empty axis.
+func TestFigure14StepAboveMaxPayload(t *testing.T) {
+	tab := Figure14(Config{Trials: 1, NMax: 5, NStep: 2000, Seed: 1})
+	s := tab.SeriesByName("LLB-BEB")
+	if s == nil || len(s.Points) != 1 || s.Points[0].X != 1000 {
+		t.Fatalf("fig14 with step 2000: want one point at x=1000, got %+v", s)
 	}
 }
 
@@ -311,4 +321,20 @@ func TestQuickConfigDefaults(t *testing.T) {
 	if got := zero.trials(30); got != 30 {
 		t.Fatalf("default trials broken: %d", got)
 	}
+}
+
+func TestIntXs(t *testing.T) {
+	xs := intXs(10, 150, 10)
+	if len(xs) != 15 || xs[0] != 10 || xs[14] != 150 {
+		t.Fatalf("intXs = %v", xs)
+	}
+}
+
+func TestIntXsPanicsOnBadRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	intXs(10, 5, 1)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro"
 	"repro/internal/backoff"
-	"repro/internal/harness"
 	"repro/internal/mac"
 	"repro/internal/phy"
 )
@@ -17,7 +16,7 @@ func usDur(x float64) time.Duration { return time.Duration(x * float64(time.Micr
 // RTSCTSTable regenerates the Section III-B RTS/CTS discussion: total time
 // for BEB and LLB with the handshake enabled. The paper reports the same
 // qualitative behaviour as without it (LLB +10.7% at 64B, +7.5% at 1024B).
-func RTSCTSTable(c Config) harness.Table {
+func RTSCTSTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -27,7 +26,6 @@ func RTSCTSTable(c Config) harness.Table {
 	if c.NStep > 0 {
 		xs = []float64{64}
 	}
-	totalUS := batchMetric("total_time_us", func(r repro.BatchResult) float64 { return us(r.TotalTime) })
 	build := func(algo repro.Algorithm, rts bool) func(x float64) repro.Scenario {
 		return func(x float64) repro.Scenario {
 			cfg := mac.DefaultConfig()
@@ -37,7 +35,7 @@ func RTSCTSTable(c Config) harness.Table {
 				Options: []repro.Option{wholeConfig(cfg)}}
 		}
 	}
-	t := harness.Table{ID: "rts", Title: fmt.Sprintf("Total time (µs) with RTS/CTS, n=%d", n),
+	t := repro.Table{ID: "rts", Title: fmt.Sprintf("Total time (µs) with RTS/CTS, n=%d", n),
 		XLabel: "payload (bytes)", YLabel: "total time (µs)"}
 	for _, s := range []struct {
 		name string
@@ -48,7 +46,7 @@ func RTSCTSTable(c Config) harness.Table {
 		{"BEB-no", "BEB", false}, {"LLB-no", "LLB", false},
 	} {
 		t.Series = append(t.Series,
-			c.series(s.name, xs, trials, totalUS, build(repro.MustAlgorithm(s.algo), s.rts)))
+			c.series(s.name, xs, trials, repro.TotalTime(), build(repro.MustAlgorithm(s.algo), s.rts)))
 	}
 	for _, x := range xs {
 		b, l := t.SeriesByName("BEB").Value(x), t.SeriesByName("LLB").Value(x)
@@ -63,7 +61,7 @@ func RTSCTSTable(c Config) harness.Table {
 // MinPacketTable regenerates the Section V-B minimum-packet experiment: the
 // smallest payload NS3 allows is 12 bytes (76-byte packets); the same
 // qualitative behaviour must hold (paper: LLB +6.6%, LB +17.8%, STB +20.6%).
-func MinPacketTable(c Config) harness.Table {
+func MinPacketTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -72,12 +70,11 @@ func MinPacketTable(c Config) harness.Table {
 	cfg := mac.DefaultConfig()
 	cfg.PayloadBytes = 12
 
-	totalUS := batchMetric("total_time_us", func(r repro.BatchResult) float64 { return us(r.TotalTime) })
-	t := harness.Table{ID: "minpkt", Title: "Total time (µs), 12B payload (minimum packet)",
+	t := repro.Table{ID: "minpkt", Title: "Total time (µs), 12B payload (minimum packet)",
 		XLabel: "n", YLabel: "total time (µs)"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
-			c.series(name, []float64{float64(n)}, trials, totalUS, macScenario(cfg, repro.MustAlgorithm(name))))
+			c.series(name, []float64{float64(n)}, trials, repro.TotalTime(), macScenario(cfg, repro.MustAlgorithm(name))))
 	}
 	addBaselineNotes(&t)
 	return t
@@ -88,7 +85,7 @@ func MinPacketTable(c Config) harness.Table {
 // The reported metric is the capture count: frames decoded despite
 // overlapping interference. On the grid it must be zero; under near/far
 // geometry the close-in station's frames survive collisions.
-func AblationCapture(c Config) harness.Table {
+func AblationCapture(c Config) repro.Table {
 	n := 30
 	if c.NMax > 0 && c.NMax < n {
 		n = c.NMax
@@ -107,7 +104,7 @@ func AblationCapture(c Config) harness.Table {
 				N: int(x), Options: []repro.Option{wholeConfig(cfg)}}
 		}
 	}
-	t := harness.Table{ID: "ablation-capture", Title: "Captured frames: grid vs near/far layout",
+	t := repro.Table{ID: "ablation-capture", Title: "Captured frames: grid vs near/far layout",
 		XLabel: "n", YLabel: "captures"}
 	t.Series = append(t.Series, c.series("grid", []float64{float64(n)}, trials, captures, build(false)))
 	t.Series = append(t.Series, c.series("nearfar", []float64{float64(n)}, trials, captures, build(true)))
@@ -117,7 +114,7 @@ func AblationCapture(c Config) harness.Table {
 // AblationAlignment compares the aligned-window abstract model (the
 // analysis's semantics) with per-station windows (the MAC's semantics),
 // now two peer Models behind the public engine.
-func AblationAlignment(c Config) harness.Table {
+func AblationAlignment(c Config) repro.Table {
 	xs := c.nAxis(150, 50)
 	trials := c.trials(15)
 	build := func(model repro.Model) func(x float64) repro.Scenario {
@@ -125,10 +122,10 @@ func AblationAlignment(c Config) harness.Table {
 			return repro.Scenario{Model: model, Algorithm: repro.MustAlgorithm("BEB"), N: int(x)}
 		}
 	}
-	t := harness.Table{ID: "ablation-align", Title: "BEB collisions: aligned vs per-station windows",
+	t := repro.Table{ID: "ablation-align", Title: "BEB collisions: aligned vs per-station windows",
 		XLabel: "n", YLabel: "collisions"}
-	t.Series = append(t.Series, c.series("aligned", xs, trials, collisions, build(repro.Abstract())))
-	t.Series = append(t.Series, c.series("unaligned", xs, trials, collisions, build(repro.AbstractUnaligned())))
+	t.Series = append(t.Series, c.series("aligned", xs, trials, repro.CollisionCount(), build(repro.Abstract())))
+	t.Series = append(t.Series, c.series("unaligned", xs, trials, repro.CollisionCount(), build(repro.AbstractUnaligned())))
 	return t
 }
 
@@ -138,7 +135,7 @@ func AblationAlignment(c Config) harness.Table {
 // would make stations give up before the ACK arrives — the "markedly poor
 // performance" regime the paper observed below 55 µs — so the sweep starts
 // at 50 µs.
-func AblationAckTimeout(c Config) harness.Table {
+func AblationAckTimeout(c Config) repro.Table {
 	n := 100
 	if c.NMax > 0 {
 		n = c.NMax
@@ -158,8 +155,8 @@ func AblationAckTimeout(c Config) harness.Table {
 		return repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm("BEB"), N: n,
 			Options: []repro.Option{wholeConfig(cfg)}}
 	}
-	t := harness.Table{ID: "ablation-ackto", Title: fmt.Sprintf("BEB aggregate ACK-timeout wait vs timeout value, n=%d", n),
+	t := repro.Table{ID: "ablation-ackto", Title: fmt.Sprintf("BEB aggregate ACK-timeout wait vs timeout value, n=%d", n),
 		XLabel: "ACK timeout (µs)", YLabel: "aggregate timeout wait (µs)"}
-	t.Series = []harness.Series{c.series("BEB", timeouts, trials, wait, build)}
+	t.Series = []repro.Series{c.series("BEB", timeouts, trials, wait, build)}
 	return t
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro"
 	"repro/internal/backoff"
-	"repro/internal/harness"
 )
 
 // abstractScenario builds the abstract-model Scenario for one algorithm
@@ -16,20 +15,14 @@ func abstractScenario(algo repro.Algorithm) func(x float64) repro.Scenario {
 	}
 }
 
-// cwSlots and collisions are the two abstract-model figure metrics.
-var (
-	cwSlots    = batchMetric("cw_slots", func(r repro.BatchResult) float64 { return float64(r.CWSlots) })
-	collisions = batchMetric("collisions", func(r repro.BatchResult) float64 { return float64(r.Collisions) })
-)
-
 // Figure5 regenerates Figure 5: CW slots vs n under the pure abstract model
 // (the paper's "simple Java simulation"), 50 trials.
-func Figure5(c Config) harness.Table {
+func Figure5(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
-	t := harness.Table{ID: "fig5", Title: "CW slots (abstract model)", XLabel: "n", YLabel: "CW slots"}
+	t := repro.Table{ID: "fig5", Title: "CW slots (abstract model)", XLabel: "n", YLabel: "CW slots"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
-			c.series(name, xs, c.trials(50), cwSlots, abstractScenario(repro.MustAlgorithm(name))))
+			c.series(name, xs, c.trials(50), repro.MakespanSlots(), abstractScenario(repro.MustAlgorithm(name))))
 	}
 	addBaselineNotes(&t)
 	return t
@@ -40,18 +33,12 @@ func Figure5(c Config) harness.Table {
 // finally separates. The paper sweeps to n = 1e5 with 200 trials; the
 // default here uses coarser steps and fewer trials — pass Config{Trials,
 // NMax, NStep} for full fidelity.
-func Figure15(c Config) harness.Table {
-	if c.NMax == 0 {
-		c.NMax = 100_000
-	}
-	if c.NStep == 0 {
-		c.NStep = 20_000
-	}
-	xs := c.nAxis(c.NMax, c.NStep)
-	t := harness.Table{ID: "fig15", Title: "CW slots at large n (abstract model)", XLabel: "n", YLabel: "CW slots"}
+func Figure15(c Config) repro.Table {
+	xs := c.nAxis(100_000, 20_000)
+	t := repro.Table{ID: "fig15", Title: "CW slots at large n (abstract model)", XLabel: "n", YLabel: "CW slots"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
-			c.series(name, xs, c.trials(15), cwSlots, abstractScenario(repro.MustAlgorithm(name))))
+			c.series(name, xs, c.trials(15), repro.MakespanSlots(), abstractScenario(repro.MustAlgorithm(name))))
 	}
 	// The oddity of Section V-A(i): at small n LB beats LLB, at large n the
 	// asymptotics win. Record which regime the sweep ended in.
@@ -71,28 +58,21 @@ func Figure15(c Config) harness.Table {
 // Figure16 regenerates Figure 16: the ratio of median collision counts
 // LB/STB, LLB/STB and BEB/STB as n grows. BEB/STB stays flat (both Θ(n));
 // LB/STB grows quickly; LLB/STB crosses 1 only around n ≈ 3×10^4.
-func Figure16(c Config) harness.Table {
-	if c.NMax == 0 {
-		c.NMax = 100_000
-	}
-	if c.NStep == 0 {
-		c.NStep = 20_000
-	}
-	xs := c.nAxis(c.NMax, c.NStep)
+func Figure16(c Config) repro.Table {
+	xs := c.nAxis(100_000, 20_000)
 	trials := c.trials(15)
 
-	med := map[string]harness.Series{}
+	med := map[string]repro.Series{}
 	for _, name := range backoff.PaperAlgorithmNames() {
-		med[name] = c.series(name, xs, trials, collisions, abstractScenario(repro.MustAlgorithm(name)))
+		med[name] = c.series(name, xs, trials, repro.CollisionCount(), abstractScenario(repro.MustAlgorithm(name)))
 	}
-	t := harness.Table{ID: "fig16", Title: "Collision ratio vs STB (abstract model)",
+	t := repro.Table{ID: "fig16", Title: "Collision ratio vs STB (abstract model)",
 		XLabel: "n", YLabel: "ratio of collisions"}
 	for _, name := range []string{"LB", "LLB", "BEB"} {
-		s := harness.Series{Name: name + "/STB"}
+		s := repro.Series{Name: name + "/STB"}
 		for i, p := range med[name].Points {
 			stb := med["STB"].Points[i]
-			ratio := p.Median / stb.Median
-			s.Points = append(s.Points, harness.Point{X: p.X, Median: ratio, Lo: ratio, Hi: ratio, Trials: p.Trials})
+			s.Points = append(s.Points, exactPoint(p.X, p.Median/stb.Median, p.Trials))
 		}
 		t.Series = append(t.Series, s)
 	}
@@ -102,7 +82,7 @@ func Figure16(c Config) harness.Table {
 // TableIII reports median disjoint-collision counts per algorithm alongside
 // collisions/n, the empirical check of the Section IV bounds (BEB and STB
 // linear; LB, LLB super-linear).
-func TableIII(c Config) harness.Table {
+func TableIII(c Config) repro.Table {
 	if c.NMax == 0 {
 		c.NMax = 32_768
 	}
@@ -110,11 +90,11 @@ func TableIII(c Config) harness.Table {
 	for n := 512; n <= c.NMax; n *= 4 {
 		xs = append(xs, float64(n))
 	}
-	t := harness.Table{ID: "tab3", Title: "Disjoint collisions (Table III empirical)",
+	t := repro.Table{ID: "tab3", Title: "Disjoint collisions (Table III empirical)",
 		XLabel: "n", YLabel: "collisions"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
-			c.series(name, xs, c.trials(9), collisions, abstractScenario(repro.MustAlgorithm(name))))
+			c.series(name, xs, c.trials(9), repro.CollisionCount(), abstractScenario(repro.MustAlgorithm(name))))
 	}
 	for _, s := range t.Series {
 		if len(s.Points) < 2 {

@@ -7,7 +7,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/mac"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -61,14 +60,14 @@ func RunTrace(ctx context.Context, c Config) (render string, rec *trace.Recorder
 // sweeps both algorithms' scenarios through the engine and folds the diffs
 // into the public Aggregator via Observe, with the outlier filter off (the
 // paper fits the raw per-trial scatter).
-func Figure14(c Config) harness.Table {
+func Figure14(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
 	}
-	payloads := harness.IntXs(100, 1000, 100)
+	payloads := intXs(100, 1000, 100)
 	if c.NStep > 0 {
-		payloads = harness.IntXs(c.NStep, 1000, c.NStep)
+		payloads = intXs(min(c.NStep, 1000), 1000, c.NStep)
 	}
 	trials := c.trials(30)
 
@@ -124,8 +123,8 @@ func Figure14(c Config) harness.Table {
 	}
 	series := reportSeries("LLB-BEB", payloads, agg.Finish())
 
-	t := harness.Table{ID: "fig14", Title: fmt.Sprintf("LLB - BEB total time (µs) vs payload, n=%d", n),
-		XLabel: "payload (bytes)", YLabel: "LLB-BEB (µs)", Series: []harness.Series{series}}
+	t := repro.Table{ID: "fig14", Title: fmt.Sprintf("LLB - BEB total time (µs) vs payload, n=%d", n),
+		XLabel: "payload (bytes)", YLabel: "LLB-BEB (µs)", Series: []repro.Series{series}}
 
 	// Regression over the full per-trial scatter, exactly as the paper fits
 	// Figure 14 (one point per trial per payload).
@@ -137,26 +136,28 @@ func Figure14(c Config) harness.Table {
 	return t
 }
 
+// bestOfKScenario builds the wifi-model BEST-OF-k Scenario for batch size x.
+func bestOfKScenario(k int) func(x float64) repro.Scenario {
+	return func(x float64) repro.Scenario {
+		return repro.Scenario{Model: repro.WiFi(), N: int(x), Workload: repro.BestOfKWorkload{K: k}}
+	}
+}
+
 // Figure18 regenerates Figure 18: the median BEST-OF-k estimate of n vs the
 // true n for k = 3 and k = 5, plus the true-size line.
-func Figure18(c Config) harness.Table {
+func Figure18(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
 	trials := c.trials(20)
 
 	estimate := repro.Metric{Name: "estimate", Extract: func(r repro.Result) float64 {
 		return float64(r.BestOfK.MedianEstimate)
 	}}
-	bok := func(k int) func(x float64) repro.Scenario {
-		return func(x float64) repro.Scenario {
-			return repro.Scenario{Model: repro.WiFi(), N: int(x), Workload: repro.BestOfKWorkload{K: k}}
-		}
-	}
-	t := harness.Table{ID: "fig18", Title: "BEST-OF-k size estimates", XLabel: "n", YLabel: "estimate of n"}
-	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, estimate, bok(3)))
-	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, estimate, bok(5)))
-	truth := harness.Series{Name: "TrueSize"}
+	t := repro.Table{ID: "fig18", Title: "BEST-OF-k size estimates", XLabel: "n", YLabel: "estimate of n"}
+	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, estimate, bestOfKScenario(3)))
+	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, estimate, bestOfKScenario(5)))
+	truth := repro.Series{Name: "TrueSize"}
 	for _, x := range xs {
-		truth.Points = append(truth.Points, harness.Point{X: x, Median: x, Lo: x, Hi: x, Trials: 1})
+		truth.Points = append(truth.Points, exactPoint(x, x, 1))
 	}
 	t.Series = append(t.Series, truth)
 	return t
@@ -164,22 +165,16 @@ func Figure18(c Config) harness.Table {
 
 // Figure19 regenerates Figure 19: total time (µs) for Best-of-3, Best-of-5
 // and BEB, 64-byte payload, 20 trials.
-func Figure19(c Config) harness.Table {
+func Figure19(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
 	trials := c.trials(20)
 	cfg := mac.DefaultConfig()
 
-	totalUS := batchMetric("total_time_us", func(r repro.BatchResult) float64 { return us(r.TotalTime) })
-	bok := func(k int) func(x float64) repro.Scenario {
-		return func(x float64) repro.Scenario {
-			return repro.Scenario{Model: repro.WiFi(), N: int(x), Workload: repro.BestOfKWorkload{K: k}}
-		}
-	}
-	t := harness.Table{ID: "fig19", Title: "Total time: BEST-OF-k vs BEB (µs), 64B",
+	t := repro.Table{ID: "fig19", Title: "Total time: BEST-OF-k vs BEB (µs), 64B",
 		XLabel: "n", YLabel: "total time (µs)"}
-	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, totalUS, bok(3)))
-	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, totalUS, bok(5)))
-	t.Series = append(t.Series, c.series("BEB", xs, trials, totalUS, macScenario(cfg, repro.MustAlgorithm("BEB"))))
+	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, repro.TotalTime(), bestOfKScenario(3)))
+	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, repro.TotalTime(), bestOfKScenario(5)))
+	t.Series = append(t.Series, c.series("BEB", xs, trials, repro.TotalTime(), macScenario(cfg, repro.MustAlgorithm("BEB"))))
 	for _, name := range []string{"Best-of-3", "Best-of-5"} {
 		if pct, err := t.PercentVsBaseline(name, "BEB"); err == nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s vs BEB at largest n: %+.1f%% (paper: ~-26%%/-25%%)", name, pct))
@@ -191,7 +186,7 @@ func Figure19(c Config) harness.Table {
 // DecompositionTable regenerates the Section III-B worked example: the
 // decomposition of BEB's total time at n = 150 into (I) collision
 // transmission time, (II) ACK timeouts, (III) CW slots.
-func DecompositionTable(c Config) harness.Table {
+func DecompositionTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -207,7 +202,7 @@ func DecompositionTable(c Config) harness.Table {
 		"observedTotal":  func(d core.Decomposition) float64 { return us(d.Observed) },
 	}
 	order := []string{"I_transmission", "II_ackTimeouts", "III_cwSlots", "lowerBound", "observedTotal"}
-	t := harness.Table{ID: "decomp", Title: fmt.Sprintf("BEB total-time decomposition (µs), n=%d", n),
+	t := repro.Table{ID: "decomp", Title: fmt.Sprintf("BEB total-time decomposition (µs), n=%d", n),
 		XLabel: "n", YLabel: "µs"}
 	for _, name := range order {
 		m := metrics[name]

@@ -1,7 +1,7 @@
 package experiments
 
 // Figure-output regression goldens. The testdata CSVs were captured from the
-// pre-Engine.Aggregate harness (the SweepSpec path); the migration onto the
+// pre-Engine.Aggregate figure code (the SweepSpec path); the migration onto the
 // public Scenario grid + Engine.Aggregate pipeline is required to reproduce
 // them byte-for-byte, which pins the per-trial RNG streams, the outlier
 // filter, and the median-CI procedure across the refactor. Regenerate with
@@ -17,7 +17,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/harness"
+	"repro"
 )
 
 var update = flag.Bool("update", false, "rewrite figure golden files")
@@ -27,11 +27,11 @@ var update = flag.Bool("update", false, "rewrite figure golden files")
 // own reduced grid.
 func goldenCases() []struct {
 	name string
-	tab  harness.Table
+	tab  repro.Table
 } {
 	return []struct {
 		name string
-		tab  harness.Table
+		tab  repro.Table
 	}{
 		{"fig3_quick", Figure3(Quick())},
 		{"fig7_quick", Figure7(Quick())},

@@ -6,7 +6,6 @@ import (
 
 	"repro"
 	"repro/internal/backoff"
-	"repro/internal/harness"
 	"repro/internal/mac"
 )
 
@@ -28,7 +27,7 @@ import (
 // at several slots — with immediate re-contention they collide even more);
 // only when the entire collision event costs about a slot does the
 // abstract ordering (STB, LB, LLB beating BEB) reappear.
-func InstantDetectTable(c Config) harness.Table {
+func InstantDetectTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -59,8 +58,7 @@ func InstantDetectTable(c Config) harness.Table {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	totalUS := batchMetric("total_time_us", func(r repro.BatchResult) float64 { return us(r.TotalTime) })
-	t := harness.Table{ID: "instant", Title: fmt.Sprintf("Total time (µs) as collision cost shrinks, n=%d", n),
+	t := repro.Table{ID: "instant", Title: fmt.Sprintf("Total time (µs) as collision cost shrinks, n=%d", n),
 		XLabel: "regime", YLabel: "total time (µs)"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		algo := repro.MustAlgorithm(name)
@@ -70,7 +68,7 @@ func InstantDetectTable(c Config) harness.Table {
 			return repro.Scenario{Model: repro.WiFi(), Algorithm: algo, N: n,
 				Options: []repro.Option{wholeConfig(cfg)}}
 		}
-		t.Series = append(t.Series, c.series(name, xs, trials, totalUS, build))
+		t.Series = append(t.Series, c.series(name, xs, trials, repro.TotalTime(), build))
 	}
 
 	beb := t.SeriesByName("BEB")

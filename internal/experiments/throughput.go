@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/harness"
 	"repro/internal/mac"
 	"repro/internal/saturation"
 )
@@ -17,7 +16,7 @@ import (
 // analytical prediction for BEB. CWmin is 16 (standard DCF): the paper's
 // single-batch CWmin = 1 degenerates to channel capture under saturation
 // (see mac.TestContinuousCaptureWithCWMin1).
-func SaturatedThroughputTable(c Config) harness.Table {
+func SaturatedThroughputTable(c Config) repro.Table {
 	xs := c.nAxis(40, 10)
 	trials := c.trials(7)
 	horizon := 150 * time.Millisecond
@@ -25,9 +24,6 @@ func SaturatedThroughputTable(c Config) harness.Table {
 	cfg := mac.DefaultConfig()
 	cfg.CWMin = 16
 
-	throughput := repro.Metric{Name: "throughput_mbps", Extract: func(r repro.Result) float64 {
-		return r.Traffic.ThroughputMbps
-	}}
 	build := func(algo repro.Algorithm) func(x float64) repro.Scenario {
 		return func(x float64) repro.Scenario {
 			return repro.Scenario{Model: repro.WiFi(), Algorithm: algo, N: int(x),
@@ -45,21 +41,20 @@ func SaturatedThroughputTable(c Config) harness.Table {
 		{"STB", repro.MustAlgorithm("STB")},
 		{"POLY(2)", repro.Polynomial(2)},
 	}
-	t := harness.Table{ID: "tput", Title: "Saturated throughput (Mbit/s payload), CWmin=16",
+	t := repro.Table{ID: "tput", Title: "Saturated throughput (Mbit/s payload), CWmin=16",
 		XLabel: "n", YLabel: "throughput (Mbps)"}
 	for _, s := range series {
-		t.Series = append(t.Series, c.series(s.name, xs, trials, throughput, build(s.algo)))
+		t.Series = append(t.Series, c.series(s.name, xs, trials, repro.ThroughputMbps(), build(s.algo)))
 	}
 
 	// Bianchi's model as an analytic overlay for BEB.
-	model := harness.Series{Name: "Bianchi(BEB)"}
+	model := repro.Series{Name: "Bianchi(BEB)"}
 	for _, x := range xs {
 		th, err := saturation.Predict(cfg, int(x))
 		if err != nil {
 			continue
 		}
-		model.Points = append(model.Points,
-			harness.Point{X: x, Median: th.Mbps, Lo: th.Mbps, Hi: th.Mbps, Trials: 1})
+		model.Points = append(model.Points, exactPoint(x, th.Mbps, 1))
 	}
 	t.Series = append(t.Series, model)
 

@@ -3,18 +3,15 @@ package repro
 // Report is the output of the aggregation pipeline; sinks render it. Three
 // sinks ship: CSVSink (one row per scenario, stable column order), JSONLSink
 // (one JSON object per line, metrics as an ordered array so output is
-// byte-deterministic), and TableSink (the ASCII figure renderer the paper
-// harness uses, grouping scenarios into series over an x-axis).
+// byte-deterministic), and TableSink (the Table renderer of table.go that
+// the figure regenerator uses, grouping scenarios into series over an x-axis).
 
 import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-
-	"repro/internal/harness"
 )
 
 // Report holds one aggregated sweep: per-scenario rows of per-metric
@@ -131,7 +128,7 @@ type jsonRow struct {
 
 // jsonFloat maps NaN/Inf to null for JSON encoding.
 func jsonFloat(v float64) any {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
+	if !isFinite(v) {
 		return nil
 	}
 	return v
@@ -162,8 +159,8 @@ func (s JSONLSink) Emit(r *Report) error {
 
 // --- ASCII table ------------------------------------------------------------
 
-// TableSink renders one metric of the report through the ASCII table
-// renderer the figure harness uses: rows grouped into named series, one
+// TableSink renders one metric of the report as a Table, the shape the
+// figure regenerator prints: rows grouped into named series, one
 // point per scenario, medians with their CIs. The zero-value accessors
 // group by algorithm over the batch size — the shape of every paper figure.
 type TableSink struct {
@@ -205,7 +202,7 @@ func (s TableSink) Emit(r *Report) error {
 	if nameOf == nil {
 		nameOf = seriesName
 	}
-	tab := harness.Table{ID: s.ID, Title: s.Title, XLabel: s.XLabel, YLabel: s.YLabel}
+	tab := Table{ID: s.ID, Title: s.Title, XLabel: s.XLabel, YLabel: s.YLabel}
 	if tab.XLabel == "" {
 		tab.XLabel = "n"
 	}
@@ -217,13 +214,10 @@ func (s TableSink) Emit(r *Report) error {
 		name := nameOf(row)
 		series := tab.SeriesByName(name)
 		if series == nil {
-			tab.Series = append(tab.Series, harness.Series{Name: name})
+			tab.Series = append(tab.Series, Series{Name: name})
 			series = &tab.Series[len(tab.Series)-1]
 		}
-		series.Points = append(series.Points, harness.Point{
-			X: xOf(row), Median: p.Median, Lo: p.CI95Lo, Hi: p.CI95Hi,
-			Mean: p.Mean, Trials: p.Trials, Removed: p.Outliers,
-		})
+		series.Points = append(series.Points, Point{X: xOf(row), PointSummary: p})
 	}
 	if err := tab.WriteTable(s.W); err != nil {
 		return err

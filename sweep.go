@@ -1,19 +1,20 @@
 package repro
 
 // Parallel execution of scenario grids. Engine.Sweep fans scenarios × seeds
-// across the shared worker pool (internal/harness.ForEach — the same
-// primitive behind the figure harness) and streams cells back in stable
-// order; Engine.RunMany is the slice-shaped convenience for heterogeneous
-// scenario lists. Determinism is free: every run derives its RNG stream
+// across the worker pool (forEach, at the bottom of this file — the one
+// parallel primitive, behind every figure sweep too) and streams cells back
+// in stable order; Engine.RunMany is the slice-shaped convenience for
+// heterogeneous scenario lists. Determinism is free: every run derives its RNG stream
 // from (seed, model, algorithm, n) labels, so results are bit-identical to
 // serial execution regardless of GOMAXPROCS or scheduling order.
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/rng"
 )
 
@@ -33,8 +34,8 @@ type Cell struct {
 }
 
 // Seeds derives n statistically independent seeds from base via
-// rng.DeriveSeed — the sweep-grid counterpart of the harness's per-trial
-// stream derivation. Seeds(base, n) is deterministic in (base, n).
+// rng.DeriveSeed — the sweep-grid counterpart of the figure regenerator's
+// per-trial stream derivation. Seeds(base, n) is deterministic in (base, n).
 func Seeds(base uint64, n int) []uint64 {
 	out := make([]uint64, n)
 	for i := range out {
@@ -108,7 +109,7 @@ func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials i
 
 	// Workers fill slots in whatever order the pool schedules.
 	go func() {
-		harness.ForEach(e.Workers, cells, func(i int) {
+		forEach(e.Workers, cells, func(i int) {
 			si, ji := i/trials, i%trials
 			c := Cell{ScenarioIndex: si, SeedIndex: ji, Seed: seed(si, ji)}
 			if err := ctx.Err(); err != nil {
@@ -236,7 +237,7 @@ func (e *Engine) RunMany(ctx context.Context, scenarios []Scenario) ([]Result, e
 	results := make([]Result, len(scenarios))
 	errs := make([]error, len(scenarios))
 	fps := e.fingerprints(scenarios)
-	harness.ForEach(e.Workers, len(scenarios), func(i int) {
+	forEach(e.Workers, len(scenarios), func(i int) {
 		if errs[i] = rejectTracer(scenarios[i]); errs[i] != nil {
 			return
 		}
@@ -248,4 +249,38 @@ func (e *Engine) RunMany(ctx context.Context, scenarios []Scenario) ([]Result, e
 		}
 	}
 	return results, nil
+}
+
+// forEach runs fn(i) for every i in [0, n) across a pool of up to workers
+// goroutines (0 = GOMAXPROCS) and blocks until all calls return. It is the
+// single parallel primitive of the repository: Engine.Sweep/RunMany, and so
+// every figure sweep, fan out through it. Work items must be independent;
+// determinism comes from deriving per-item RNG streams, not from scheduling
+// order.
+func forEach(workers, n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }

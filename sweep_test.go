@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/trace"
@@ -285,4 +286,20 @@ func TestWithRawSeedBypassesDerivation(t *testing.T) {
 	if derived.CWSlots == raw1.CWSlots && derived.Collisions == raw1.Collisions {
 		t.Fatal("raw seed did not bypass stream derivation")
 	}
+}
+
+func TestForEachCoversAllIndicesOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		const n = 37
+		counts := make([]int64, n)
+		forEach(workers, n, func(i int) { atomic.AddInt64(&counts[i], 1) })
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+	// Degenerate sizes must not hang or panic.
+	forEach(4, 0, func(int) { t.Fatal("fn called for n=0") })
+	forEach(0, -1, func(int) { t.Fatal("fn called for n<0") })
 }

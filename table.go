@@ -1,4 +1,7 @@
-package harness
+package repro
+
+// The rendered shape of a figure: series of PointSummaries over an x-axis,
+// printed as an aligned table, a CSV, or an ASCII plot.
 
 import (
 	"fmt"
@@ -6,7 +9,78 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
+
+// Point is one aggregated x-position of a series: the paper's summary of
+// that position's trials.
+type Point struct {
+	X float64
+	PointSummary
+}
+
+// Series is a named line in a figure.
+type Series struct {
+	Name   string
+	Points []Point
+}
+
+// Value returns the median at x, or NaN if x is absent.
+func (s Series) Value(x float64) float64 {
+	if p := s.pointAt(x); p != nil {
+		return p.Median
+	}
+	return math.NaN()
+}
+
+func (s Series) pointAt(x float64) *Point {
+	for i := range s.Points {
+		if s.Points[i].X == x {
+			return &s.Points[i]
+		}
+	}
+	return nil
+}
+
+// Table is a full figure or table: several series over a shared x-axis.
+type Table struct {
+	ID     string // e.g. "fig7"
+	Title  string
+	XLabel string
+	YLabel string
+	Series []Series
+	// Notes carries free-form findings (regression summaries, percent
+	// deltas) printed with the table.
+	Notes []string
+}
+
+// SeriesByName returns the named series, or nil.
+func (t Table) SeriesByName(name string) *Series {
+	for i := range t.Series {
+		if t.Series[i].Name == name {
+			return &t.Series[i]
+		}
+	}
+	return nil
+}
+
+// PercentVsBaseline returns 100·(a−b)/b at the largest shared x, where b is
+// the baseline series — the paper's headline percentage convention
+// (baseline is always BEB).
+func (t Table) PercentVsBaseline(series, baseline string) (float64, error) {
+	a := t.SeriesByName(series)
+	b := t.SeriesByName(baseline)
+	if a == nil || b == nil || len(a.Points) == 0 || len(b.Points) == 0 {
+		return 0, fmt.Errorf("repro: series %q or %q missing", series, baseline)
+	}
+	ax := a.Points[len(a.Points)-1]
+	bx := b.Points[len(b.Points)-1]
+	if ax.X != bx.X {
+		return 0, fmt.Errorf("repro: series end at different x: %v vs %v", ax.X, bx.X)
+	}
+	return stats.PercentChange(ax.Median, bx.Median), nil
+}
 
 // WriteTable prints the table in aligned text form: one row per x, one
 // column per series, with the 95% CI beside each median.
@@ -30,7 +104,7 @@ func (t Table) WriteTable(w io.Writer) error {
 				row += fmt.Sprintf("  %24s", "-")
 				continue
 			}
-			row += fmt.Sprintf("  %10.1f [%6.1f,%6.1f]", p.Median, p.Lo, p.Hi)
+			row += fmt.Sprintf("  %10.1f [%6.1f,%6.1f]", p.Median, p.CI95Lo, p.CI95Hi)
 		}
 		if _, err := fmt.Fprintln(w, row); err != nil {
 			return err
@@ -62,8 +136,8 @@ func (t Table) WriteCSV(w io.Writer) error {
 				continue
 			}
 			row = append(row,
-				fmt.Sprintf("%g", p.Median), fmt.Sprintf("%g", p.Lo),
-				fmt.Sprintf("%g", p.Hi), fmt.Sprintf("%d", p.Trials))
+				fmt.Sprintf("%g", p.Median), fmt.Sprintf("%g", p.CI95Lo),
+				fmt.Sprintf("%g", p.CI95Hi), fmt.Sprintf("%d", p.Trials))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err
@@ -74,6 +148,8 @@ func (t Table) WriteCSV(w io.Writer) error {
 
 // WritePlot renders a crude ASCII scatter of the series medians, one marker
 // character per series, for a quick visual check of figure shapes.
+// Non-finite medians (an all-failed point, a metric that does not apply)
+// get no marker and do not stretch the y-range.
 func (t Table) WritePlot(w io.Writer, width, height int) error {
 	if width < 20 {
 		width = 72
@@ -90,9 +166,14 @@ func (t Table) WritePlot(w io.Writer, width, height int) error {
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, s := range t.Series {
 		for _, p := range s.Points {
-			minY = math.Min(minY, p.Median)
-			maxY = math.Max(maxY, p.Median)
+			if isFinite(p.Median) {
+				minY = math.Min(minY, p.Median)
+				maxY = math.Max(maxY, p.Median)
+			}
 		}
+	}
+	if minY > maxY { // no finite median at all
+		minY, maxY = 0, 0
 	}
 	if minY == maxY {
 		maxY = minY + 1
@@ -105,6 +186,9 @@ func (t Table) WritePlot(w io.Writer, width, height int) error {
 	for si, s := range t.Series {
 		m := markers[si%len(markers)]
 		for _, p := range s.Points {
+			if !isFinite(p.Median) {
+				continue
+			}
 			var cx int
 			if maxX > minX {
 				cx = int((p.X - minX) / (maxX - minX) * float64(width-1))
@@ -131,6 +215,8 @@ func (t Table) WritePlot(w io.Writer, width, height int) error {
 	return err
 }
 
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 func (t Table) xUnion() []float64 {
 	seen := map[float64]bool{}
 	var xs []float64
@@ -144,13 +230,4 @@ func (t Table) xUnion() []float64 {
 	}
 	sort.Float64s(xs)
 	return xs
-}
-
-func (s Series) pointAt(x float64) *Point {
-	for i := range s.Points {
-		if s.Points[i].X == x {
-			return &s.Points[i]
-		}
-	}
-	return nil
 }
