@@ -22,9 +22,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite figure golden files")
 
-// goldenCases pins the quick-config outputs named in the PR acceptance
-// criteria. tab3's axis starts at n=512, above Quick's NMax, so it gets its
-// own reduced grid.
+// goldenCases pins quick-config figure outputs. tab3's axis starts at n=512,
+// above Quick's NMax, so it gets its own reduced grid; fig18 and fig19 cover
+// the MAC's best-of-k driver and tput its continuous-traffic driver, the
+// latter on fewer trials because saturated runs are the slowest cells.
 func goldenCases() []struct {
 	name string
 	tab  repro.Table
@@ -36,6 +37,9 @@ func goldenCases() []struct {
 		{"fig3_quick", Figure3(Quick())},
 		{"fig7_quick", Figure7(Quick())},
 		{"tab3_quick", TableIII(Config{Trials: 5, NMax: 2048, Seed: 1})},
+		{"fig18_quick", Figure18(Quick())},
+		{"fig19_quick", Figure19(Quick())},
+		{"tput_quick", SaturatedThroughputTable(Config{Trials: 3, NMax: 35, NStep: 25, Seed: 1})},
 	}
 }
 

@@ -1,6 +1,9 @@
 package mac
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -8,6 +11,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/phy"
 	"repro/internal/rng"
+	"repro/internal/traffic"
 )
 
 // TestBatchResultsPinned pins full batch results captured before the event
@@ -54,6 +58,104 @@ func TestBatchResultsPinned(t *testing.T) {
 		if res.Events != c.events {
 			t.Errorf("%s n=%d: events %d, want %d (elided slots must be added back)",
 				c.algo, c.n, res.Events, c.events)
+		}
+	}
+}
+
+// digest is a short stable hash of v's %+v rendering, for pinning
+// per-station stats without spelling out every field of every station.
+func digest(v any) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", v)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestBestOfKResultsPinned pins full best-of-k results. The lossy case sets
+// an explicit LossSeed, so its frame-loss stream does not depend on how the
+// simulator derives a default one.
+func TestBestOfKResultsPinned(t *testing.T) {
+	lossy := DefaultConfig()
+	lossy.Radio.FrameLossProb = 0.05
+	lossy.Radio.LossSeed = 99
+	cases := []struct {
+		cfg         Config
+		k, n        int
+		seed        uint64
+		estimate    int // every station adopts the same window on the grid
+		probes      int
+		events      uint64
+		collisions  int
+		total, half time.Duration
+		stations    string
+	}{
+		{DefaultConfig(), 3, 12, 21, 16, 71, 619, 11, 4433000, 2672000, "54197698ca4703bf"},
+		{DefaultConfig(), 5, 30, 22, 128, 291, 3448, 4, 8062000, 4425000, "71735634338b091f"},
+		{lossy, 3, 16, 23, 64, 97, 978, 5, 4742000, 2705000, "740f321a623975ec"},
+	}
+	for _, c := range cases {
+		res := RunBestOfK(c.cfg, DefaultBestOfK(c.k), c.n, rng.New(c.seed), nil)
+		if len(res.Estimates) != c.n {
+			t.Fatalf("k=%d n=%d: %d estimates", c.k, c.n, len(res.Estimates))
+		}
+		for i, e := range res.Estimates {
+			if e != c.estimate {
+				t.Errorf("k=%d n=%d: station %d estimate %d, want %d", c.k, c.n, i, e, c.estimate)
+			}
+		}
+		if res.ProbesSent != c.probes || res.Events != c.events || res.Collisions != c.collisions {
+			t.Errorf("k=%d n=%d: probes/events/collisions %d/%d/%d, want %d/%d/%d", c.k, c.n,
+				res.ProbesSent, res.Events, res.Collisions, c.probes, c.events, c.collisions)
+		}
+		if res.TotalTime != c.total || res.HalfTime != c.half {
+			t.Errorf("k=%d n=%d: times %v/%v, want %v/%v", c.k, c.n, res.TotalTime, res.HalfTime, c.total, c.half)
+		}
+		if got := digest(res.Stations); got != c.stations {
+			t.Errorf("k=%d n=%d: station stats digest %s, want %s", c.k, c.n, got, c.stations)
+		}
+	}
+}
+
+// TestContinuousResultsPinned pins full continuous-traffic results.
+func TestContinuousResultsPinned(t *testing.T) {
+	sat := DefaultConfig()
+	sat.CWMin = 16
+	lossy := sat
+	lossy.Radio.FrameLossProb = 0.05
+	cases := []struct {
+		name               string
+		cfg                Config
+		n                  int
+		f                  backoff.Factory
+		proc               traffic.Process
+		horizon            time.Duration
+		seed               uint64
+		offered, delivered int
+		collisions         int
+		p50, p95, latMax   time.Duration
+		jain               float64
+		stations           string
+	}{
+		{"saturated BEB", sat, 10, backoff.NewBEB, traffic.NewSaturated(), 20 * time.Millisecond, 31,
+			2400, 99, 56, 9742000, 19151000, 19777000, 0.8427343078245916, "b748655576f6174c"},
+		{"poisson LLB", DefaultConfig(), 8, backoff.NewLLB, traffic.NewPoisson(300), 40 * time.Millisecond, 32,
+			91, 91, 2, 118000, 317336, 524360, 0.9701265229615745, "1781f03dc1aed73a"},
+		{"lossy poisson STB", lossy, 6, backoff.NewSTB, traffic.NewPoisson(500), 30 * time.Millisecond, 33,
+			81, 81, 2, 253000, 715329, 832914, 0.9533565823888405, "a3b0f7cfd4bc7c4d"},
+	}
+	for _, c := range cases {
+		res := RunContinuous(c.cfg, c.n, c.f, c.proc, c.horizon, rng.New(c.seed), nil)
+		if res.Offered != c.offered || res.Delivered != c.delivered || res.Collisions != c.collisions {
+			t.Errorf("%s: offered/delivered/collisions %d/%d/%d, want %d/%d/%d", c.name,
+				res.Offered, res.Delivered, res.Collisions, c.offered, c.delivered, c.collisions)
+		}
+		if res.LatencyP50 != c.p50 || res.LatencyP95 != c.p95 || res.LatencyMax != c.latMax {
+			t.Errorf("%s: latency %v/%v/%v, want %v/%v/%v", c.name,
+				res.LatencyP50, res.LatencyP95, res.LatencyMax, c.p50, c.p95, c.latMax)
+		}
+		if res.JainFairness != c.jain {
+			t.Errorf("%s: Jain fairness %v, want %v", c.name, res.JainFairness, c.jain)
+		}
+		if got := digest(res.Stations); got != c.stations {
+			t.Errorf("%s: station stats digest %s, want %s", c.name, got, c.stations)
 		}
 	}
 }
