@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mac"
@@ -179,12 +180,8 @@ func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error)
 		if o.simStats != nil {
 			*o.simStats = res.Kernel
 		}
-		ests := append([]int(nil), res.Estimates...)
-		for i := 1; i < len(ests); i++ {
-			for j := i; j > 0 && ests[j] < ests[j-1]; j-- {
-				ests[j], ests[j-1] = ests[j-1], ests[j]
-			}
-		}
+		ests := slices.Clone(res.Estimates)
+		slices.Sort(ests)
 		return Result{BestOfK: &BestOfKResult{
 			BatchResult:    m.batchResult(cfg, s.N, fmt.Sprintf("Best-of-%d", w.K), res.Result),
 			MedianEstimate: ests[len(ests)/2],

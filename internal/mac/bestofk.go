@@ -1,12 +1,10 @@
 package mac
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/event"
-	"repro/internal/phy"
 	"repro/internal/rng"
 )
 
@@ -64,52 +62,35 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	if bok.K < 1 || bok.Levels < 1 {
 		panic("mac: BestOfKConfig needs K >= 1 and Levels >= 1")
 	}
-	sched := &event.Scheduler{}
-	medium := phy.NewMedium(sched, cfg.Radio)
-	m := &sim{
-		cfg:    cfg,
-		sched:  sched,
-		medium: medium,
-		tracer: tracer,
-		half:   (n + 1) / 2,
-	}
-	m.ap = &accessPoint{sim: m}
-	m.ap.node = medium.AddNode(phy.APPosition(), m.ap)
+	// Stations get their fixed window only once probing ends, so they are
+	// built without a policy and without a listener: a listening station
+	// would await an ACK after its own probe and take EIFS after colliding
+	// ones.
+	m := newSim(cfg, n, nil, g, tracer)
 	// The contention phase is batch-shaped (all probe-round events have
 	// fired by then), so the idle-slot fast-forward applies.
 	m.allowSlotSkip = !disableSlotSkip
-
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	positions := layout(n)
-	nodes := make([]*phy.Node, n)
-	for i := range nodes {
-		nodes[i] = medium.AddNode(positions[i], nil)
-	}
 
 	// ---- Phase 1: probing ------------------------------------------------
 	type probe struct {
 		g     *rng.Source
 		done  bool
-		w     int
+		w     int // adopted window; the cap until the station terminates
 		clear int
 		sent  bool // transmitted in the current round
 	}
 	probes := make([]*probe, n)
 	for i := range probes {
-		probes[i] = &probe{g: g.DeriveIndexed("probe-", i)}
+		probes[i] = &probe{g: g.DeriveIndexed("probe-", i), w: 1 << (bok.Levels - 1)}
 	}
-	out := BestOfKResult{EstimationTime: bok.PhaseDuration()}
+	out := BestOfKResult{EstimationTime: bok.PhaseDuration(), Estimates: make([]int, n)}
 
 	totalRounds := bok.Levels * bok.K
 	for r := 0; r < totalRounds; r++ {
-		r := r
 		level := r / bok.K
 		roundInLevel := r % bok.K
 		start := time.Duration(r) * bok.RoundDuration
-		sched.ScheduleNamed("probeRound", start, func(now event.Time) {
+		m.sched.ScheduleNamed("probeRound", start, func(now event.Time) {
 			sentCount := 0
 			for i, p := range probes {
 				p.sent = false
@@ -120,7 +101,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 					p.sent = true
 					sentCount++
 					out.ProbesSent++
-					tx := medium.Transmit(nodes[i], cfg.DataRate, bok.DummyBytes,
+					tx := m.medium.Transmit(m.sts[i].node, cfg.DataRate, bok.DummyBytes,
 						Frame{Kind: FrameDummy, Src: i, Dst: APIndex}.Payload())
 					if tracer != nil {
 						tracer.TxStart(i, FrameDummy, time.Duration(tx.Start), time.Duration(tx.End))
@@ -130,7 +111,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 			// Score the round at its end: the grid guarantees every station
 			// hears every probe (see phy.TestGridNoCapture), so a
 			// non-sending station senses "clear" iff nobody sent.
-			sched.ScheduleNamed("probeScore", bok.RoundDuration-time.Microsecond, func(event.Time) {
+			m.sched.ScheduleNamed("probeScore", bok.RoundDuration-time.Microsecond, func(event.Time) {
 				for _, p := range probes {
 					if p.done {
 						continue
@@ -156,43 +137,14 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	}
 
 	// ---- Phase 2: fixed backoff with the adopted windows ------------------
-	sched.ScheduleNamed("contentionStart", bok.PhaseDuration(), func(event.Time) {
-		m.sts = make([]*station, n)
-		for i := 0; i < n; i++ {
-			w := probes[i].w
-			if !probes[i].done {
-				w = 1 << (bok.Levels - 1) // never terminated: adopt the cap
-			}
-			pol := backoff.NewFixed(w)
-			pol.Reset()
-			st := &station{
-				idx:  i,
-				sim:  m,
-				pol:  pol,
-				g:    g.DeriveIndexed("station-", i),
-				node: nodes[i],
-			}
-			medium.SetListener(nodes[i], st)
-			m.sts[i] = st
+	m.sched.ScheduleNamed("contentionStart", bok.PhaseDuration(), func(event.Time) {
+		for i, st := range m.sts {
+			out.Estimates[i] = probes[i].w
+			st.attach(backoff.NewFixed(probes[i].w))
 			st.begin()
 		}
 	})
 
-	fired, drained := sched.Run(cfg.maxEvents())
-	if !drained {
-		panic(fmt.Sprintf("mac: best-of-%d event budget exhausted (n=%d)", bok.K, n))
-	}
-	if m.finished != n {
-		panic(fmt.Sprintf("mac: best-of-%d: only %d of %d stations finished", bok.K, m.finished, n))
-	}
-	out.Result = m.collect(fired)
-	out.Estimates = make([]int, n)
-	for i, p := range probes {
-		if p.done {
-			out.Estimates[i] = p.w
-		} else {
-			out.Estimates[i] = 1 << (bok.Levels - 1)
-		}
-	}
+	out.Result = m.collect(m.drain())
 	return out
 }

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -26,10 +27,19 @@ func TestBestOfKCompletesAllStations(t *testing.T) {
 func TestBestOfKEstimatesOverestimate(t *testing.T) {
 	// Section VI: "only overestimates occur". The adopted window should be
 	// at least n for (almost) every station; we require the median to be.
+	// Every estimate is a level's window 2^i, so it is a power of two in
+	// [1, 2^(Levels-1)].
 	cfg := DefaultConfig()
+	bok := DefaultBestOfK(5)
 	for _, n := range []int{20, 60, 100} {
 		for seed := uint64(0); seed < 3; seed++ {
-			res := RunBestOfK(cfg, DefaultBestOfK(5), n, rng.New(100+seed), nil)
+			res := RunBestOfK(cfg, bok, n, rng.New(100+seed), nil)
+			for i, e := range res.Estimates {
+				if e < 1 || e > 1<<(bok.Levels-1) || e&(e-1) != 0 {
+					t.Fatalf("n=%d seed=%d: station %d estimate %d is not a power of two in [1, %d]",
+						n, seed, i, e, 1<<(bok.Levels-1))
+				}
+			}
 			med := medianIntSlice(res.Estimates)
 			if med < n {
 				t.Errorf("n=%d seed=%d: median estimate %d underestimates", n, seed, med)
@@ -121,21 +131,27 @@ func TestBestOfKDeterministic(t *testing.T) {
 }
 
 func TestBestOfKPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("K=0 did not panic")
-		}
-	}()
-	RunBestOfK(DefaultConfig(), BestOfKConfig{K: 0, Levels: 11, RoundDuration: 35 * time.Microsecond, DummyBytes: 28},
-		5, rng.New(1), nil)
+	for _, c := range []struct {
+		name string
+		bok  BestOfKConfig
+		n    int
+	}{
+		{"K=0", BestOfKConfig{K: 0, Levels: 11, RoundDuration: 35 * time.Microsecond, DummyBytes: 28}, 5},
+		{"n=0", DefaultBestOfK(3), 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			RunBestOfK(DefaultConfig(), c.bok, c.n, rng.New(1), nil)
+		}()
+	}
 }
 
 func medianIntSlice(xs []int) int {
-	s := append([]int(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -1,12 +1,11 @@
 package mac
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/event"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -55,11 +54,7 @@ func RunContinuous(cfg Config, n int, f backoff.Factory, proc traffic.Process,
 	if horizon <= 0 {
 		panic("mac: RunContinuous needs a positive horizon")
 	}
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	m := newSim(cfg, layout(n), f, g, tracer)
+	m := newSim(cfg, n, f, g, tracer)
 	m.collectLatencies = true
 
 	// Pre-compute each station's arrival train. The per-station cap bounds
@@ -79,21 +74,19 @@ func RunContinuous(cfg Config, n int, f backoff.Factory, proc traffic.Process,
 	m.sched.RunUntil(event.Time(horizon))
 
 	res := ContinuousResult{
-		N:          n,
-		Horizon:    horizon,
-		Offered:    offered,
-		Delivered:  m.finished,
-		Collisions: 0,
-		Stations:   make([]StationStats, n),
+		N:         n,
+		Horizon:   horizon,
+		Offered:   offered,
+		Delivered: m.finished,
+		Stations:  make([]StationStats, n),
 	}
 	res.Kernel = m.kernelStats()
 	res.Collisions, _ = m.ap.disjointCollisions()
 	res.Backlog = offered - m.finished
 	res.ThroughputMbps = float64(m.finished*cfg.PayloadBytes*8) / horizon.Seconds() / 1e6
 
-	if len(m.latencies) > 0 {
-		ls := append([]time.Duration(nil), m.latencies...)
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	if ls := m.latencies; len(ls) > 0 {
+		slices.Sort(ls)
 		res.LatencyP50 = ls[len(ls)/2]
 		res.LatencyP95 = ls[(len(ls)*95)/100]
 		res.LatencyMax = ls[len(ls)-1]

@@ -1,11 +1,13 @@
 package mac
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/rng"
+	"repro/internal/traffic"
 )
 
 // Random frame loss (the paper's "an ACK might be lost due to wireless
@@ -75,6 +77,28 @@ func TestLossDeterministicGivenSeed(t *testing.T) {
 	b := RunBatch(lossyConfig(0.1), 20, backoff.NewBEB, rng.New(5), nil)
 	if a.TotalTime != b.TotalTime || a.TotalAckTimeouts != b.TotalAckTimeouts {
 		t.Fatal("lossy runs diverged under the same seed")
+	}
+}
+
+// TestZeroLossSeedDerivesFromStream: every driver seeds an unset LossSeed
+// from the run's own stream, so trials with different seeds see different
+// loss patterns instead of all sharing rng.New(0).
+func TestZeroLossSeedDerivesFromStream(t *testing.T) {
+	unset := lossyConfig(0.1)
+	explicit := unset
+	explicit.Radio.LossSeed = rng.New(8).Derive("frame-loss").Uint64()
+
+	if a, b := RunBatch(unset, 15, backoff.NewBEB, rng.New(8), nil),
+		RunBatch(explicit, 15, backoff.NewBEB, rng.New(8), nil); !reflect.DeepEqual(a, b) {
+		t.Errorf("batch: unset LossSeed differs from the derived one")
+	}
+	if a, b := RunBestOfK(unset, DefaultBestOfK(3), 15, rng.New(8), nil),
+		RunBestOfK(explicit, DefaultBestOfK(3), 15, rng.New(8), nil); !reflect.DeepEqual(a, b) {
+		t.Errorf("best-of-k: unset LossSeed differs from the derived one")
+	}
+	if a, b := RunContinuous(unset, 6, backoff.NewBEB, traffic.NewPoisson(500), 20*time.Millisecond, rng.New(8), nil),
+		RunContinuous(explicit, 6, backoff.NewBEB, traffic.NewPoisson(500), 20*time.Millisecond, rng.New(8), nil); !reflect.DeepEqual(a, b) {
+		t.Errorf("continuous: unset LossSeed differs from the derived one")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -164,17 +163,12 @@ func TestContinuousResultsPinned(t *testing.T) {
 // instead of appending one unread slice entry per station.
 func TestBatchDoesNotCollectLatencies(t *testing.T) {
 	cfg := DefaultConfig()
-	m := newSim(cfg, phy.StationGrid(20), backoff.NewBEB, rng.New(5), nil)
+	m := newSim(cfg, 20, backoff.NewBEB, rng.New(5), nil)
 	m.allowSlotSkip = !disableSlotSkip
 	for _, s := range m.sts {
 		s.begin()
 	}
-	if _, drained := m.sched.Run(cfg.maxEvents()); !drained {
-		t.Fatal("event budget exhausted")
-	}
-	if m.finished != 20 {
-		t.Fatalf("finished %d of 20", m.finished)
-	}
+	m.drain()
 	if m.latencies != nil {
 		t.Fatalf("batch run collected %d latencies; collectLatencies must stay off", len(m.latencies))
 	}
@@ -223,15 +217,12 @@ func TestSlotSkipEquivalence(t *testing.T) {
 // contended batch (otherwise TestSlotSkipEquivalence proves nothing).
 func TestSlotSkipElidesEvents(t *testing.T) {
 	cfg := DefaultConfig()
-	m := newSim(cfg, phy.StationGrid(30), backoff.NewBEB, rng.New(2), nil)
+	m := newSim(cfg, 30, backoff.NewBEB, rng.New(2), nil)
 	m.allowSlotSkip = true
 	for _, s := range m.sts {
 		s.begin()
 	}
-	fired, drained := m.sched.Run(cfg.maxEvents())
-	if !drained {
-		t.Fatal("event budget exhausted")
-	}
+	fired := m.drain()
 	if m.elidedSlots == 0 {
 		t.Fatal("fast-forward never engaged on a 30-station batch")
 	}

@@ -3,7 +3,6 @@ package mac
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/backoff"
@@ -90,7 +89,7 @@ func (r Result) TimeToFinish(k int) time.Duration {
 		panic(fmt.Sprintf("mac: TimeToFinish(%d) with %d stations", k, len(r.Stations)))
 	}
 	ts := r.FinishTimes()
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	return ts[k-1]
 }
 
@@ -114,8 +113,6 @@ type sim struct {
 	backoffCount int // stations currently counting down
 	backoffSince event.Time
 	backoffAir   time.Duration
-
-	inferredCollisions int
 
 	// latencies collects per-packet queueing+service delays. Only the
 	// continuous-traffic mode reads it, so only that mode sets
@@ -253,9 +250,16 @@ func (m *sim) packetDelivered(idx int, latency time.Duration, now event.Time) {
 	}
 }
 
-func (m *sim) noteInferredCollision(idx int, now event.Time) {
-	m.inferredCollisions++
-}
+// A simulation has one lifecycle, whichever driver runs it:
+//
+//  1. Build: newSim resolves the layout, derives the frame-loss seed, and
+//     adds the AP and the n station nodes.
+//  2. Arm: the driver sets up its workload — every station begins one
+//     packet (RunBatch); probe rounds, then fixed-window contention
+//     (RunBestOfK); or per-station arrival trains (RunContinuous).
+//  3. Drive: batch-shaped runs drain the event queue (drain); continuous
+//     runs stop at their horizon.
+//  4. Collect: collect builds the Result.
 
 // RunBatch simulates a single batch of n stations, all arriving at time
 // zero, each sending one packet through DCF with a contention-window
@@ -264,44 +268,27 @@ func RunBatch(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer
 	if n < 1 {
 		panic("mac: RunBatch needs n >= 1")
 	}
-	layout := phy.StationGrid
-	if cfg.Layout != nil {
-		layout = cfg.Layout
-	}
-	return RunBatchAt(cfg, layout(n), f, g, tracer)
-}
-
-// RunBatchAt is RunBatch with explicit station positions (the AP stays at
-// the grid centre). It exists for topology ablations; the paper's
-// experiments all use the standard grid.
-func RunBatchAt(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Source, tracer Tracer) Result {
-	n := len(positions)
-	if n < 1 {
-		panic("mac: RunBatchAt needs at least one station")
-	}
-	m := newSim(cfg, positions, f, g, tracer)
+	m := newSim(cfg, n, f, g, tracer)
 	m.allowSlotSkip = !disableSlotSkip
 	for _, s := range m.sts {
 		s.begin()
 	}
-	fired, drained := m.sched.Run(cfg.maxEvents())
-	if !drained {
-		panic(fmt.Sprintf("mac: event budget exhausted after %d events (n=%d, %s)",
-			fired, n, m.sts[0].pol.Name()))
-	}
-	if m.finished != n {
-		panic(fmt.Sprintf("mac: only %d of %d stations finished", m.finished, n))
-	}
-	return m.collect(fired)
+	return m.collect(m.drain())
 }
 
-// newSim builds the medium, AP, and stations at the given positions.
-func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Source, tracer Tracer) *sim {
-	n := len(positions)
-	sched := &event.Scheduler{}
+// newSim builds the medium, the AP, and n stations on cfg's layout (the
+// paper's grid unless cfg.Layout is set). With a nil f the stations have no
+// policy and their nodes no listener: the driver attaches both later.
+func newSim(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer) *sim {
+	layout := phy.StationGrid
+	if cfg.Layout != nil {
+		layout = cfg.Layout
+	}
+	positions := layout(n)
 	if cfg.Radio.FrameLossProb > 0 && cfg.Radio.LossSeed == 0 {
 		cfg.Radio.LossSeed = g.Derive("frame-loss").Uint64()
 	}
+	sched := &event.Scheduler{}
 	medium := phy.NewMedium(sched, cfg.Radio)
 	m := &sim{
 		cfg:    cfg,
@@ -313,19 +300,34 @@ func newSim(cfg Config, positions []phy.Position, f backoff.Factory, g *rng.Sour
 	m.ap = &accessPoint{sim: m}
 	m.ap.node = medium.AddNode(phy.APPosition(), m.ap)
 	m.sts = make([]*station, n)
-	for i := 0; i < n; i++ {
-		pol := f()
-		pol.Reset()
+	for i := range m.sts {
 		st := &station{
 			idx: i,
 			sim: m,
-			pol: pol,
 			g:   g.DeriveIndexed("station-", i),
 		}
-		st.node = medium.AddNode(positions[i], st)
+		st.node = medium.AddNode(positions[i], nil)
+		if f != nil {
+			st.attach(f())
+		}
 		m.sts[i] = st
 	}
 	return m
+}
+
+// drain runs a batch-shaped simulation until its event queue is empty and
+// returns the number of events fired. Every station must have delivered its
+// packet by then.
+func (m *sim) drain() uint64 {
+	n := len(m.sts)
+	fired, drained := m.sched.Run(m.cfg.maxEvents())
+	if !drained {
+		panic(fmt.Sprintf("mac: event budget exhausted after %d events (n=%d)", fired, n))
+	}
+	if m.finished != n {
+		panic(fmt.Sprintf("mac: only %d of %d stations finished", m.finished, n))
+	}
+	return fired
 }
 
 func (m *sim) collect(fired uint64) Result {

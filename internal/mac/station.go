@@ -113,6 +113,15 @@ type station struct {
 	stats StationStats
 }
 
+// attach gives the station its backoff policy and connects it to its node's
+// channel notifications. Until then the node can transmit but hears nothing
+// (the best-of-k probe phase).
+func (s *station) attach(pol backoff.Policy) {
+	pol.Reset()
+	s.pol = pol
+	s.sim.medium.SetListener(s.node, s)
+}
+
 // begin queues the station's single batch packet at simulation time zero
 // and starts contending.
 func (s *station) begin() {
@@ -271,7 +280,6 @@ func (s *station) TxDone(tx *phy.Tx, now event.Time) {
 		if s.sim.tracer != nil {
 			s.sim.tracer.AckTimeout(s.idx, time.Duration(now))
 		}
-		s.sim.noteInferredCollision(s.idx, now)
 		s.newAttempt()
 		return
 	}
@@ -289,7 +297,6 @@ func (s *station) onRespTimeout(now event.Time) {
 	if s.sim.tracer != nil {
 		s.sim.tracer.AckTimeout(s.idx, time.Duration(now))
 	}
-	s.sim.noteInferredCollision(s.idx, now)
 	s.newAttempt()
 }
 

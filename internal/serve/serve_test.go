@@ -485,6 +485,10 @@ func TestRequestValidation(t *testing.T) {
 	if resp, body := post("/v1/run", `{"scenario":{"model":"abstract","algorithm":"WAT","n":8},"seed":1}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "unknown algorithm") {
 		t.Fatalf("invalid scenario: HTTP %d %s", resp.StatusCode, body)
 	}
+	// A batch that can never resolve → 400, before any simulation runs.
+	if resp, body := post("/v1/run", `{"scenario":{"model":"abstract","algorithm":"FIXED:1","n":2},"seed":1}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "never resolves") {
+		t.Fatalf("unresolvable batch: HTTP %d %s", resp.StatusCode, body)
+	}
 	// Grid over MaxCells → 413.
 	if resp, _ := post("/v1/sweep", `{"scenarios":[{"model":"abstract","algorithm":"BEB","n":8}],"seeds":[1,2,3,4,5]}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized grid: HTTP %d", resp.StatusCode)

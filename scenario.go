@@ -203,7 +203,12 @@ func (s Scenario) Validate() error {
 		}
 	}
 	switch w := s.workload().(type) {
-	case SingleBatch, TreeWorkload:
+	case SingleBatch:
+		if s.neverResolves() {
+			return fmt.Errorf("repro: %s with n=%d never resolves: every station transmits in the one slot of each window",
+				s.Algorithm, s.N)
+		}
+	case TreeWorkload:
 	case BestOfKWorkload:
 		if w.K < 1 {
 			return fmt.Errorf("repro: need n >= 1 and k >= 1 (got n=%d k=%d)", s.N, w.K)
@@ -219,6 +224,25 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("repro: unknown workload %T", w)
 	}
 	return nil
+}
+
+// neverResolves reports a single batch of n >= 2 stations whose algorithm
+// is a constant window of 1: they collide in every window forever. The wifi
+// model clamps windows up to its CWMin, so there only CWMin <= 1 is stuck.
+func (s Scenario) neverResolves() bool {
+	// The prefix test keeps the per-cell check allocation-free for every
+	// other algorithm; the policy name then decides spellings like FIXED:01.
+	if s.N < 2 || !strings.HasPrefix(s.Algorithm.spec, "FIXED:") {
+		return false
+	}
+	f, err := s.Algorithm.factory()
+	if err != nil || f().Name() != backoff.NewFixed(1).Name() {
+		return false
+	}
+	if s.Model.Name() == "wifi" {
+		return materializeMACConfig(s.workload(), buildOptions(s.Options)).CWMin <= 1
+	}
+	return true
 }
 
 // WithOptions returns a copy of the scenario with opts appended. Later

@@ -87,6 +87,10 @@ func TestScenarioValidate(t *testing.T) {
 			Workload: ContinuousWorkload{Horizon: time.Millisecond}}},
 		{"continuous bad rate", Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10,
 			Workload: ContinuousWorkload{Arrivals: Poisson(-1), Horizon: time.Millisecond}}},
+		{"abstract FIXED:1 n=2", Scenario{Model: Abstract(), Algorithm: FixedWindow(1), N: 2}},
+		{"unaligned FIXED:1 n=3", Scenario{Model: AbstractUnaligned(), Algorithm: FixedWindow(1), N: 3}},
+		{"wifi FIXED:1 n=2", Scenario{Model: WiFi(), Algorithm: FixedWindow(1), N: 2}},
+		{"abstract FIXED:01 n=2", Scenario{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:01"), N: 2}},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -94,10 +98,17 @@ func TestScenarioValidate(t *testing.T) {
 		}
 	}
 
-	// Workloads that prescribe their own algorithm don't need one.
+	// Workloads that prescribe their own algorithm don't need one. A window
+	// of 1 is fine for one station, under ongoing traffic (the horizon ends
+	// it), and on wifi when CWMin clamps the window up.
+	cwMin16 := WithConfig(func(c *MACConfig) { c.CWMin = 16 })
 	for _, s := range []Scenario{
 		{Model: WiFi(), N: 10, Workload: BestOfKWorkload{K: 3}},
 		{Model: Abstract(), N: 10, Workload: TreeWorkload{}},
+		{Model: Abstract(), Algorithm: FixedWindow(1), N: 1},
+		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2, Options: []Option{cwMin16}},
+		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2,
+			Workload: ContinuousWorkload{Arrivals: Saturated(), Horizon: time.Millisecond}},
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v: Validate rejected: %v", s, err)
