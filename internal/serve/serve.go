@@ -8,7 +8,8 @@
 //
 //	POST /v1/run        one (scenario, seed) cell; cache-backed, singleflight
 //	POST /v1/sweep      scenario grid × seeds, streamed as NDJSON cells in
-//	                    Engine.Sweep's stable order
+//	                    Engine.Sweep's stable order; store hits are spliced
+//	                    from the stored bytes, never decoded
 //	POST /v1/aggregate  grid × seeds × metric names → Report JSON
 //	GET  /v1/stats      store hit rate, in-flight simulations, per-endpoint
 //	                    request counts and latency quantiles (JSON)
@@ -32,6 +33,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro"
@@ -332,7 +335,27 @@ type cellWire struct {
 // included). The encoding is deterministic — equal cells encode to equal
 // bytes — so a warm sweep response is byte-identical to the cold one that
 // populated the store, and to a direct Engine.Sweep encoded the same way.
-func EncodeCell(c repro.Cell) ([]byte, error) {
+//
+// A cell carrying Cell.JSON (Engine.SweepJSON) is spliced: the stored
+// Result bytes go between the cell's head and its closing brace unparsed.
+// That is the line json.Marshal of cellWire writes, because a payload is
+// exactly json.Marshal(Result) — the fingerprint's "v1" pins that schema.
+// Any other cell is marshalled.
+func EncodeCell(c repro.Cell) ([]byte, error) { return appendCell(nil, c) }
+
+// appendCell appends c's NDJSON line to dst; see EncodeCell.
+func appendCell(dst []byte, c repro.Cell) ([]byte, error) {
+	if c.Err == nil && c.JSON != nil {
+		dst = append(dst, `{"scenario":`...)
+		dst = strconv.AppendInt(dst, int64(c.ScenarioIndex), 10)
+		dst = append(dst, `,"trial":`...)
+		dst = strconv.AppendInt(dst, int64(c.SeedIndex), 10)
+		dst = append(dst, `,"seed":`...)
+		dst = strconv.AppendUint(dst, c.Seed, 10)
+		dst = append(dst, `,"result":`...)
+		dst = append(dst, c.JSON...)
+		return append(dst, "}\n"...), nil
+	}
 	cw := cellWire{Scenario: c.ScenarioIndex, Trial: c.SeedIndex, Seed: c.Seed}
 	if c.Err != nil {
 		cw.Error = c.Err.Error()
@@ -341,9 +364,9 @@ func EncodeCell(c repro.Cell) ([]byte, error) {
 	}
 	b, err := json.Marshal(cw)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return append(b, '\n'), nil
+	return append(append(dst, b...), '\n'), nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
@@ -364,23 +387,87 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
 	// r.Context() is cancelled when the client disconnects; the sweep then
-	// stops at the next cell boundary and this range ends early — an
+	// stops at the next cell boundary and its channel closes early — an
 	// abandoned request stops simulating instead of running the grid out.
-	for cell := range s.eng.Sweep(r.Context(), grid, req.Seeds) {
-		line, err := EncodeCell(cell)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
+	if err := streamCells(w, s.eng.SweepJSON(r.Context(), grid, req.Seeds)); err != nil {
+		return err
 	}
 	return r.Context().Err()
+}
+
+// A sweep response gathers encoded cells and sends them together once
+// sendBytes have gathered or sendDelay after the first of them, whichever
+// comes first. Warm cells arrive in a burst, and sent one write per cell
+// they stall the client: on loopback its receive window then waits out a
+// 40 ms delayed ACK every few dozen requests, which batched writes do not
+// provoke. A cold cell still streams within sendDelay of completing, and a
+// response never holds more than about sendBytes plus one cell.
+const (
+	sendBytes = 256 << 10
+	sendDelay = time.Millisecond
+)
+
+// sendBufs recycles batch buffers across responses: sized for a full batch
+// plus its last cell, a buffer is allocated once per concurrent response
+// instead of regrown cell by cell on every request.
+var sendBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, sendBytes+sendBytes/4)
+	return &b
+}}
+
+// streamCells writes cells to w as NDJSON lines, in order, flushing each
+// batch. Store-served cells arrive as their stored bytes and are spliced
+// into the batch buffer.
+func streamCells(w http.ResponseWriter, cells <-chan repro.Cell) error {
+	fl, _ := w.(http.Flusher)
+	bp := sendBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= 2*sendBytes { // a rare outsized cell is not kept
+			*bp = buf[:0]
+			sendBufs.Put(bp)
+		}
+	}()
+	send := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err == nil && fl != nil {
+			fl.Flush()
+		}
+		return err
+	}
+	timer := time.NewTimer(sendDelay)
+	timer.Stop()
+	defer timer.Stop()
+	for {
+		select {
+		case cell, ok := <-cells:
+			if !ok {
+				return send()
+			}
+			first := len(buf) == 0
+			var err error
+			if buf, err = appendCell(buf, cell); err != nil {
+				return err
+			}
+			if len(buf) >= sendBytes {
+				timer.Stop()
+				if err := send(); err != nil {
+					return err
+				}
+			} else if first {
+				timer.Reset(sendDelay)
+			}
+		case <-timer.C:
+			if err := send(); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // --- POST /v1/aggregate -----------------------------------------------------

@@ -10,12 +10,14 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -27,7 +29,9 @@ type Key struct {
 	Seed        uint64
 }
 
-// record is the JSONL wire envelope, one per line.
+// record is the JSONL wire envelope, one per line. Put writes it with
+// json.Marshal, so every line it writes is the canonical form
+// appendPrefix + payload + "}\n" that Get checks byte by byte.
 type record struct {
 	Fingerprint string          `json:"fp"`
 	Seed        uint64          `json:"seed"`
@@ -56,12 +60,15 @@ type Stats struct {
 }
 
 // Log is an append-only JSONL record log with an in-memory index. It is
-// safe for concurrent readers and writers: the index and the file tail are
-// guarded by one mutex, and records are immutable once written.
+// safe for concurrent readers and writers: the index, the file handle and
+// the file tail are guarded by one RWMutex, and records are immutable once
+// written. Get holds only the read lock — the index lookup and the pread
+// run concurrently with other Gets — while Put, Compact and Close take the
+// write lock, so no Get ever reads through a handle Compact has closed.
 type Log struct {
 	path string
 
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	f       *os.File
 	index   map[Key]span
 	end     int64 // offset past the last good record; appends go here
@@ -136,42 +143,71 @@ func (l *Log) addLine(line []byte, off int64) {
 	l.index[k] = span{off: off, len: int64(len(line))}
 }
 
-// readLocked returns the parsed record at s. Caller holds l.mu.
-func (l *Log) readLocked(s span) (record, error) {
-	buf := make([]byte, s.len)
-	if _, err := l.f.ReadAt(buf, s.off); err != nil {
-		return record{}, err
-	}
-	var rec record
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		return record{}, fmt.Errorf("store: record at offset %d unreadable: %w", s.off, err)
-	}
-	return rec, nil
+// appendPrefix appends the canonical envelope prefix Put writes for k —
+// {"fp":<k.Fingerprint as json.Marshal encodes it>,"seed":<k.Seed>,"result":
+// — to dst.
+func appendPrefix(dst []byte, k Key) []byte {
+	fp, _ := json.Marshal(k.Fingerprint) // a string always marshals
+	dst = append(append(dst, `{"fp":`...), fp...)
+	dst = append(dst, `,"seed":`...)
+	dst = strconv.AppendUint(dst, k.Seed, 10)
+	return append(dst, `,"result":`...)
 }
 
-// Get returns the payload stored under k. The boolean reports whether the
-// key is present; the error reports an I/O or decode failure on a present
-// key (which callers should treat as a miss, not a fatality).
+// payloadOf returns the payload of a record line read for k: the bytes
+// between the canonical prefix Put writes for k and the closing "}\n".
+// Any other line is an error: another key's record (index/file drift), a
+// span that does not end where a record does, or a record that is valid
+// JSON but whose envelope is not in canonical form (keys reordered, spaces
+// added by hand — json.Marshal puts none around the payload either). JSON
+// written by json.Marshal never holds a raw newline, so a payload with one
+// spans more than one line and is rejected too. The payload's own bytes
+// are not parsed.
+func payloadOf(line []byte, k Key) ([]byte, error) {
+	var buf [128]byte
+	prefix := appendPrefix(buf[:0], k)
+	if len(line) <= len(prefix)+len("}\n") ||
+		!bytes.HasPrefix(line, prefix) || !bytes.HasSuffix(line, []byte("}\n")) {
+		return nil, fmt.Errorf("not the canonical record for (%s, %d)", k.Fingerprint, k.Seed)
+	}
+	payload := line[len(prefix) : len(line)-len("}\n")]
+	if jsonSpace(payload[0]) || jsonSpace(payload[len(payload)-1]) {
+		return nil, fmt.Errorf("record for (%s, %d) has whitespace around its payload", k.Fingerprint, k.Seed)
+	}
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return nil, fmt.Errorf("record for (%s, %d) spans more than one line", k.Fingerprint, k.Seed)
+	}
+	return payload, nil
+}
+
+// jsonSpace reports whether c is JSON insignificant whitespace.
+func jsonSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// Get returns the payload stored under k, sliced out of the record line
+// without decoding it: the bytes Put was given, in the compact form
+// json.Marshal writes (for a payload that is itself json.Marshal output,
+// those very bytes). The boolean reports whether the key is present; the
+// error reports an I/O failure, or a line at the indexed offset that is
+// not the canonical record Put writes for k — a hand-edited line that
+// still parses as JSON is such a line. Callers treat an error as a miss
+// (recompute and supersede), never as a fatality and never as a hit.
 func (l *Log) Get(k Key) (json.RawMessage, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	s, ok := l.index[k]
 	if !ok {
 		return nil, false, nil
 	}
-	rec, err := l.readLocked(s)
-	if err != nil {
+	// ReadAt is a pread: concurrent Gets share the handle safely.
+	line := make([]byte, s.len)
+	if _, err := l.f.ReadAt(line, s.off); err != nil {
 		return nil, true, err
 	}
-	// Defence in depth against index/file drift (a concurrent process's
-	// recovery truncating and re-filling our indexed offsets, say): a
-	// record that decodes but carries the wrong key is reported as an
-	// error, which callers treat as a miss-and-recompute, never as a hit.
-	if rec.Fingerprint != k.Fingerprint || rec.Seed != k.Seed {
-		return nil, true, fmt.Errorf("store: record at offset %d is keyed (%s, %d), index expected (%s, %d)",
-			s.off, rec.Fingerprint, rec.Seed, k.Fingerprint, k.Seed)
+	payload, err := payloadOf(line, k)
+	if err != nil {
+		return nil, true, fmt.Errorf("store: record at offset %d: %w", s.off, err)
 	}
-	return rec.Payload, true, nil
+	return payload, true, nil
 }
 
 // Put appends a record for k, superseding any existing one. The line is
@@ -207,15 +243,15 @@ func (l *Log) Put(k Key, payload json.RawMessage) error {
 
 // Len returns the number of live records.
 func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return len(l.index)
 }
 
 // Stats returns the log's current statistics.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	return Stats{Records: len(l.index), Stale: l.stale, Corrupt: l.corrupt, Bytes: l.end}
 }
 

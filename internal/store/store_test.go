@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func tempLog(t *testing.T) (*Log, string) {
@@ -300,5 +302,172 @@ func TestCrossHandleAppends(t *testing.T) {
 	st := c.Stats()
 	if st.Records != 20 || st.Corrupt != 0 {
 		t.Fatalf("union replay %+v, want 20 clean records", st)
+	}
+}
+
+// TestNonCanonicalLineIsError: a hand-edited line that is still valid JSON
+// but not the canonical envelope Put writes (keys reordered, spaces added)
+// is indexed at Open — it parses — yet Get reports it as an error, never
+// as a hit whose bytes could be served verbatim. A Put supersedes it.
+func TestNonCanonicalLineIsError(t *testing.T) {
+	for name, line := range map[string]string{
+		"reordered": `{"seed":1,"fp":"fp","result":{"a":1}}`,
+		"spaced":    `{"fp": "fp", "seed": 1, "result": {"a":1}}`,
+		"padded":    `{"fp":"fp","seed":1,"result":{"a":1} }`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "results.jsonl")
+			if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if st := l.Stats(); st.Records != 1 || st.Corrupt != 0 {
+				t.Fatalf("stats %+v, want the hand-edited line indexed", st)
+			}
+			k := Key{"fp", 1}
+			if got, ok, err := l.Get(k); !ok || err == nil {
+				t.Fatalf("Get of a non-canonical line: %s ok=%v err=%v, want present with an error", got, ok, err)
+			}
+			if err := l.Put(k, payload("a")); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := l.Get(k); err != nil || !ok || !bytes.Equal(got, payload("a")) {
+				t.Fatalf("Get after superseding Put: %s ok=%v err=%v", got, ok, err)
+			}
+		})
+	}
+}
+
+// TestGetEscapedFingerprints: fingerprints json.Marshal escapes still
+// round-trip, so Get's canonical prefix matches the one Put wrote.
+func TestGetEscapedFingerprints(t *testing.T) {
+	l, _ := tempLog(t)
+	for i, fp := range []string{`v1:"quoted"`, `back\slash`, "a<b>&c", "tab\there", "ünï", "bad\xffutf8", " "} {
+		k := Key{fp, uint64(i) << 40}
+		if err := l.Put(k, payload(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := l.Get(k); err != nil || !ok || !bytes.Equal(got, payload(fmt.Sprint(i))) {
+			t.Fatalf("fp %q: %s ok=%v err=%v", fp, got, ok, err)
+		}
+	}
+}
+
+// TestGetDuringPutAndCompact runs many readers against one writer per key
+// and a compactor, all on one Log (CI runs it under -race). Each writer
+// publishes the version it last Put; a Get must return a version no older
+// than the one published before it started and no newer than the next, and
+// must never fail — in particular never read through a handle Compact has
+// already closed.
+func TestGetDuringPutAndCompact(t *testing.T) {
+	l, _ := tempLog(t)
+	const keys, versions, readers, compactions = 4, 30, 4, 5
+	pad := bytes.Repeat([]byte("x"), 64)
+	body := func(k, v int) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(`{"k":%d,"v":%d,"pad":%q}`, k, v, pad))
+	}
+	key := func(k int) Key { return Key{fmt.Sprintf("fp-%d", k), uint64(k)} }
+	var latest [keys]atomic.Int64
+	for k := 0; k < keys; k++ {
+		if err := l.Put(key(k), body(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Writers and the compactor are the finite work; readers run until
+	// both are done. Each Compact fsyncs under the write lock, so a few
+	// spaced compactions cover the overlap without stalling the writers.
+	var work, readersWG sync.WaitGroup
+	done := make(chan struct{})
+	for k := 0; k < keys; k++ {
+		work.Add(1)
+		go func(k int) {
+			defer work.Done()
+			for v := 1; v <= versions; v++ {
+				if err := l.Put(key(k), body(k, v)); err != nil {
+					t.Error(err)
+					return
+				}
+				latest[k].Store(int64(v))
+			}
+		}(k)
+	}
+	work.Add(1)
+	go func() {
+		defer work.Done()
+		for i := 0; i < compactions; i++ {
+			if err := l.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := (r + i) % keys
+				lo := latest[k].Load()
+				got, ok, err := l.Get(key(k))
+				hi := latest[k].Load() + 1
+				if err != nil || !ok {
+					t.Errorf("Get %v: ok=%v err=%v", key(k), ok, err)
+					return
+				}
+				fresh := false
+				for v := lo; v <= hi && !fresh; v++ {
+					fresh = bytes.Equal(got, body(k, int(v)))
+				}
+				if !fresh {
+					t.Errorf("Get %v returned %.40s, want key %d at a version in [%d, %d]", key(k), got, k, lo, hi)
+					return
+				}
+			}
+		}(r)
+	}
+	work.Wait()
+	close(done)
+	readersWG.Wait()
+	for k := 0; k < keys; k++ {
+		if got, ok, err := l.Get(key(k)); err != nil || !ok || !bytes.Equal(got, body(k, versions)) {
+			t.Fatalf("final Get %v: ok=%v err=%v, want the last Put", key(k), ok, err)
+		}
+	}
+}
+
+// BenchmarkLogGet is the store Get layer on its own: one ~10 KB record —
+// the size of a wifi batch Result with its per-station stats — read back
+// through the index, the pread and the canonical-envelope check.
+func BenchmarkLogGet(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "results.jsonl")
+	l, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	k := Key{"v1:0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", 42}
+	body := json.RawMessage(fmt.Sprintf(`{"pad":%q}`, bytes.Repeat([]byte("s"), 10<<10)))
+	if err := l.Put(k, body); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, ok, err := l.Get(k)
+		if err != nil || !ok || len(got) != len(body) {
+			b.Fatalf("Get: %d bytes ok=%v err=%v", len(got), ok, err)
+		}
 	}
 }

@@ -48,9 +48,10 @@ type Store struct {
 // flight is one in-progress computation of a cell; followers wait on done
 // and share the leader's outcome.
 type flight struct {
-	done chan struct{}
-	res  Result
-	err  error
+	done    chan struct{}
+	res     Result
+	payload json.RawMessage
+	err     error
 }
 
 // openDirs registers every store directory open in this process, so a
@@ -115,32 +116,53 @@ func OpenStore(dir string) (*Store, error) {
 func (st *Store) Dir() string { return st.dir }
 
 // Get returns the stored Result for (fp, seed), if present. A record that
-// is present but unreadable (I/O error, tampered payload) reports a miss —
-// the engine then recomputes and supersedes it.
+// is present but unreadable reports a miss — the engine then recomputes
+// and supersedes it. Unreadable means an I/O error; a line not in the
+// canonical form the store writes, such as one hand-edited with its keys
+// reordered; or a payload that does not decode.
 func (st *Store) Get(fp string, seed uint64) (Result, bool) {
-	payload, ok, err := st.log.Get(store.Key{Fingerprint: fp, Seed: seed})
+	res, _, ok := st.get(store.Key{Fingerprint: fp, Seed: seed}, true)
+	return res, ok
+}
+
+// get reads the record for k: its payload — the json.Marshal encoding of
+// the stored Result — and, when decode is set, the Result decoded from it.
+// Without decode the Result is zero and the payload is served unparsed:
+// the log has already checked that the line is the canonical record for k.
+func (st *Store) get(k store.Key, decode bool) (Result, json.RawMessage, bool) {
+	payload, ok, err := st.log.Get(k)
 	if !ok || err != nil {
-		return Result{}, false
+		return Result{}, nil, false
 	}
 	var r Result
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return Result{}, false
+	if decode {
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return Result{}, nil, false
+		}
 	}
-	return r, true
+	return r, payload, true
 }
 
 // Put stores the Result for (fp, seed), superseding any existing record.
 // The record is durable (written, single line) when Put returns.
 func (st *Store) Put(fp string, seed uint64, r Result) error {
+	_, err := st.put(store.Key{Fingerprint: fp, Seed: seed}, r)
+	return err
+}
+
+// put writes r through under k and returns its payload, the bytes a later
+// get of k returns. The payload is returned even when only the log write
+// failed: it is still r's encoding.
+func (st *Store) put(k store.Key, r Result) (json.RawMessage, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
-		return fmt.Errorf("repro: encoding result for store: %w", err)
+		return nil, fmt.Errorf("repro: encoding result for store: %w", err)
 	}
-	if err := st.log.Put(store.Key{Fingerprint: fp, Seed: seed}, payload); err != nil {
-		return err
+	if err := st.log.Put(k, payload); err != nil {
+		return payload, err
 	}
 	st.puts.Add(1)
-	return nil
+	return payload, nil
 }
 
 // errLeaderAborted is a flight's outcome until its leader's run returns,
@@ -158,12 +180,17 @@ var errLeaderAborted = errors.New("repro: in-flight leader did not complete")
 // served and the error is recorded in Stats.WriteErr. When putDur is
 // non-nil, the wall time of the leader's Put lands there; a nil putDur
 // reads no clock, which extends the nil-observer contract down to here.
-func (st *Store) do(fp string, seed uint64, run func() (Result, error), putDur *time.Duration) (Result, error) {
+//
+// Alongside the Result, do returns the cell's payload: the record bytes it
+// read on a hit, or wrote on a miss (nil only if the Result failed to
+// encode), shared with a leader's followers too. Without decode a hit skips
+// decoding and its Result is zero; the payload is then the whole answer.
+func (st *Store) do(fp string, seed uint64, decode bool, run func() (Result, error), putDur *time.Duration) (Result, json.RawMessage, error) {
 	k := store.Key{Fingerprint: fp, Seed: seed}
 	for {
-		if res, ok := st.Get(fp, seed); ok {
+		if res, payload, ok := st.get(k, decode); ok {
 			st.hits.Add(1)
-			return res, nil
+			return res, payload, nil
 		}
 		st.mu.Lock()
 		if f, ok := st.inflight[k]; ok {
@@ -171,16 +198,16 @@ func (st *Store) do(fp string, seed uint64, run func() (Result, error), putDur *
 			<-f.done
 			if f.err == nil {
 				st.hits.Add(1)
-				return f.res, nil
+				return f.res, f.payload, nil
 			}
 			continue
 		}
 		// Double-check under the lock: a leader may have completed (written
-		// through and left) between our Get above and acquiring the lock.
-		if res, ok := st.Get(fp, seed); ok {
+		// through and left) between our get above and acquiring the lock.
+		if res, payload, ok := st.get(k, decode); ok {
 			st.mu.Unlock()
 			st.hits.Add(1)
-			return res, nil
+			return res, payload, nil
 		}
 		f := &flight{done: make(chan struct{}), err: errLeaderAborted}
 		st.inflight[k] = f
@@ -192,7 +219,7 @@ func (st *Store) do(fp string, seed uint64, run func() (Result, error), putDur *
 // lead runs the leader's simulation for flight f and writes a successful
 // result through. The flight is retired and its followers released even if
 // run panics; the panic then propagates to the leader's caller.
-func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur *time.Duration) (Result, error) {
+func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur *time.Duration) (Result, json.RawMessage, error) {
 	defer func() {
 		st.mu.Lock()
 		delete(st.inflight, k)
@@ -206,7 +233,8 @@ func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur
 		if putDur != nil {
 			t0 = time.Now()
 		}
-		perr := st.Put(k.Fingerprint, k.Seed, f.res)
+		var perr error
+		f.payload, perr = st.put(k, f.res)
 		if putDur != nil {
 			*putDur = time.Since(t0)
 		}
@@ -218,7 +246,7 @@ func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur
 			st.mu.Unlock()
 		}
 	}
-	return f.res, f.err
+	return f.res, f.payload, f.err
 }
 
 // StoreStats describes a store's contents and its service counters.

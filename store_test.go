@@ -5,8 +5,11 @@ package repro
 // crash recovery, and concurrent writers deduplicated by singleflight.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -399,7 +402,7 @@ func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		st.do(fp, seed, func() (Result, error) {
+		st.do(fp, seed, true, func() (Result, error) {
 			close(entered)
 			<-unblock
 			panic("leader died")
@@ -412,7 +415,7 @@ func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
 	followerErr := errors.New("follower simulated")
 	followed := make(chan error, 1)
 	go func() {
-		_, err := st.do(fp, seed, func() (Result, error) { return Result{}, followerErr }, nil)
+		_, _, err := st.do(fp, seed, true, func() (Result, error) { return Result{}, followerErr }, nil)
 		followed <- err
 	}()
 	// Give the follower time to park on the flight. A follower that arrives
@@ -435,7 +438,7 @@ func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
 
 	want := Result{Batch: &BatchResult{N: 1}}
 	simulated := false
-	got, err := st.do(fp, seed, func() (Result, error) { simulated = true; return want, nil }, nil)
+	got, _, err := st.do(fp, seed, true, func() (Result, error) { simulated = true; return want, nil }, nil)
 	if err != nil || !simulated || !reflect.DeepEqual(got, want) {
 		t.Fatalf("third caller: simulated=%t got %+v err %v", simulated, got, err)
 	}
@@ -482,6 +485,85 @@ func TestStoreCompactPreservesReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("post-compact cells differ")
+	}
+}
+
+// TestNonCanonicalRecordResimulated: a record line hand-edited into JSON
+// that still parses but is not the canonical envelope the store writes
+// (keys reordered, spaces added) is a miss, never a hit — SweepJSON does
+// not splice it into a response. The engine simulates the cell again and
+// its canonical record supersedes the edited line.
+func TestNonCanonicalRecordResimulated(t *testing.T) {
+	var runs atomic.Int64
+	grid := []Scenario{{Model: countingModel{WiFi(), &runs}, Algorithm: MustAlgorithm("BEB"), N: 10}}
+	seeds := SequentialSeeds(1, 3)
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := drain(t, Engine{}.WithStore(st).Sweep(context.Background(), grid, seeds))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, storeLogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	for i, format := range []string{
+		`{"seed":%[2]d,"fp":%[1]s,"result":%[3]s}`,
+		`{"fp": %s, "seed": %d, "result": %s}`,
+	} {
+		var rec struct {
+			FP     string          `json:"fp"`
+			Seed   uint64          `json:"seed"`
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(lines[i], &rec); err != nil {
+			t.Fatal(err)
+		}
+		fp, _ := json.Marshal(rec.FP)
+		lines[i] = fmt.Appendf(nil, format+"\n", fp, rec.Seed, rec.Result)
+	}
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if s := st.Stats(); s.Records != len(seeds) || s.Corrupt != 0 {
+		t.Fatalf("reopened stats %+v, want the edited lines indexed", s)
+	}
+	before := runs.Load()
+	var i int
+	for c := range (&Engine{Store: st}).SweepJSON(context.Background(), grid, seeds) {
+		want, err := json.Marshal(cold[i].Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Err != nil || !bytes.Equal(c.JSON, want) {
+			t.Fatalf("cell %d: err %v, JSON %.60s, want the canonical encoding", i, c.Err, c.JSON)
+		}
+		i++
+	}
+	if got := runs.Load() - before; got != 2 {
+		t.Fatalf("sweep over two edited records simulated %d cells, want 2", got)
+	}
+	if s := st.Stats(); s.Stale != 2 || s.Misses != 2 || s.Hits != 1 {
+		t.Fatalf("stats %+v, want both edited lines superseded", s)
+	}
+	before = runs.Load()
+	if warm := drain(t, Engine{}.WithStore(st).Sweep(context.Background(), grid, seeds)); !reflect.DeepEqual(warm, cold) {
+		t.Fatal("cells after supersession differ from the cold run")
+	}
+	if got := runs.Load() - before; got != 0 {
+		t.Fatalf("sweep after supersession simulated %d cells, want 0", got)
 	}
 }
 

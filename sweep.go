@@ -10,6 +10,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -31,6 +32,11 @@ type Cell struct {
 	Result Result
 	// Err is the validation, unsupported-workload, or context error.
 	Err error
+	// JSON is set only by Engine.SweepJSON, on a successful cell served
+	// through a Store: the Result's encoding, json.Marshal(Result) — the
+	// store record's payload, byte for byte. Result is then left zero.
+	// Cells that shared one simulation share these bytes: read only.
+	JSON json.RawMessage
 }
 
 // Seeds derives n statistically independent seeds from base via
@@ -92,6 +98,24 @@ func (e *Engine) Sweep(ctx context.Context, scenarios []Scenario, seeds []uint64
 // seed(si, ti). Ordering, cancellation, and tracer-rejection semantics are
 // those of Sweep.
 func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials int, seed SeedFunc) <-chan Cell {
+	return e.sweep(ctx, scenarios, trials, seed, true)
+}
+
+// SweepJSON is Sweep for consumers that want each Result as JSON — the
+// serving layer's NDJSON stream. A cell served through the engine's Store
+// carries its record payload in Cell.JSON instead of a decoded Result: a
+// replay is never parsed, and a miss hands back the bytes its write-through
+// just encoded. Cells without a store, and failed cells, carry Result (or
+// Err) as in Sweep. Ordering and cancellation are those of Sweep.
+func (e *Engine) SweepJSON(ctx context.Context, scenarios []Scenario, seeds []uint64) <-chan Cell {
+	return e.sweep(ctx, scenarios, len(seeds), func(_, ti int) uint64 { return seeds[ti] }, false)
+}
+
+// sweep is the one sweep core behind Sweep, SweepSeeded and SweepJSON:
+// the worker pool, the stable slot order and cancellation. decode selects
+// what a store-served cell carries: its Result, or (for SweepJSON) its
+// payload in Cell.JSON.
+func (e *Engine) sweep(ctx context.Context, scenarios []Scenario, trials int, seed SeedFunc, decode bool) <-chan Cell {
 	out := make(chan Cell)
 	cells := len(scenarios) * trials
 	if cells <= 0 {
@@ -117,7 +141,11 @@ func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials i
 			} else if err := rejectTracer(scenarios[si]); err != nil {
 				c.Err = err
 			} else {
-				c.Result, c.Err = e.runCell(ctx, scenarios[si], c.Seed, fps[si])
+				var payload json.RawMessage
+				c.Result, payload, c.Err = e.runCell(ctx, scenarios[si], c.Seed, fps[si], decode)
+				if !decode && payload != nil {
+					c.Result, c.JSON = Result{}, payload
+				}
 			}
 			slots[i] <- c
 		})
@@ -162,11 +190,14 @@ func (e *Engine) fingerprints(scenarios []Scenario) []string {
 // miss, deduplicated against identical in-flight cells. Replayed cells are
 // bit-identical to simulated ones, so callers cannot tell the difference.
 //
+// A store-served cell also returns its record payload (see Store.do); with
+// decode false a replay returns only that, and a zero Result.
+//
 // With an Observer attached, the cell is also timed stage by stage and
 // reported once final. Every clock read hangs off info, which is non-nil
 // only then, so an unobserved cell reads no clock and allocates nothing
 // for observation.
-func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string) (Result, error) {
+func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string, decode bool) (Result, json.RawMessage, error) {
 	var info *CellInfo
 	var putDur *time.Duration
 	if e.Observer != nil {
@@ -201,18 +232,19 @@ func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string
 		return res, err
 	}
 	var res Result
+	var payload json.RawMessage
 	var err error
 	if e.Store == nil || fp == "" {
 		res, err = run()
 	} else {
-		res, err = e.Store.do(fp, seed, run, putDur)
+		res, payload, err = e.Store.do(fp, seed, decode, run, putDur)
 	}
 	if info != nil {
 		info.Total = time.Since(info.Start)
 		info.Err = err
 		e.Observer.ObserveCell(*info)
 	}
-	return res, err
+	return res, payload, err
 }
 
 // rejectTracer refuses scenarios that would feed a shared trace.Recorder
@@ -241,7 +273,7 @@ func (e *Engine) RunMany(ctx context.Context, scenarios []Scenario) ([]Result, e
 		if errs[i] = rejectTracer(scenarios[i]); errs[i] != nil {
 			return
 		}
-		results[i], errs[i] = e.runCell(ctx, scenarios[i], buildOptions(scenarios[i].Options).seed, fps[i])
+		results[i], _, errs[i] = e.runCell(ctx, scenarios[i], buildOptions(scenarios[i].Options).seed, fps[i], true)
 	})
 	for _, err := range errs {
 		if err != nil {
