@@ -52,6 +52,39 @@ func TestGoldenAbstractBatch(t *testing.T) {
 	}
 }
 
+// TestGoldenAbstractLargeN pins the aligned abstract kernel where the
+// paper's asymptotic argument lives (Figures 5, 15, 16; Table III), plus
+// the registry's fixed and polynomial schedules and tree splitting.
+func TestGoldenAbstractLargeN(t *testing.T) {
+	for _, w := range []struct {
+		algo                           string
+		n, cwSlots, collisions, atHalf int
+	}{
+		{"BEB", 1000, 8048, 1029, 1978},
+		{"BEB", 10000, 130136, 10278, 20761},
+		{"LB", 1000, 6157, 3183, 3743},
+		{"LB", 10000, 75712, 42109, 47110},
+		{"LLB", 1000, 6716, 1827, 2555},
+		{"LLB", 10000, 71778, 20574, 27634},
+		{"STB", 1000, 7144, 2327, 2967},
+		{"STB", 10000, 63236, 22696, 27210},
+		{"FIXED:8", 30, 150, 96, 102},
+		{"POLY:2", 30, 138, 28, 52},
+	} {
+		res := runBatch(t, Abstract(), w.algo, w.n, WithSeed(42))
+		if res.CWSlots != w.cwSlots || res.Collisions != w.collisions || res.CWSlotsAtHalf != w.atHalf {
+			t.Errorf("%s n=%d: got (cw %d, coll %d, cw@half %d), want (%d, %d, %d)", w.algo, w.n,
+				res.CWSlots, res.Collisions, res.CWSlotsAtHalf, w.cwSlots, w.collisions, w.atHalf)
+		}
+	}
+	tree := *mustRun(t, Scenario{Model: Abstract(), N: 100000, Workload: TreeWorkload{},
+		Options: []Option{WithSeed(42)}}).Batch
+	if tree.CWSlots != 288697 || tree.Collisions != 144348 || tree.CWSlotsAtHalf != 144323 {
+		t.Errorf("TREE n=1e5: got (cw %d, coll %d, cw@half %d), want (288697, 144348, 144323)",
+			tree.CWSlots, tree.Collisions, tree.CWSlotsAtHalf)
+	}
+}
+
 func TestGoldenAbstractUnalignedBatch(t *testing.T) {
 	want := map[string]struct{ cwSlots, collisions, cwAtHalf int }{
 		"BEB": {241, 27, 48},
