@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -265,8 +266,11 @@ func renderLabels(labels []Label) string {
 
 // register adds (or retrieves) the series with this identity. Re-registering
 // the same (name, labels) returns the existing series only if the kind
-// matches; a kind clash panics — it is always a programming error.
-func (r *Registry) register(name, help string, k kind, labels []string) *series {
+// matches; a kind clash panics — it is always a programming error. A new
+// series gets its value from init while r.mu is held, so concurrent
+// registrations of one identity all see the same value and exposition
+// never reads a series before its value is set.
+func (r *Registry) register(name, help string, k kind, labels []string, init func(*series)) *series {
 	ls := labelPairs(labels)
 	id := name + renderLabels(ls)
 	r.mu.Lock()
@@ -278,6 +282,7 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 		return s
 	}
 	s := &series{name: name, help: help, labels: ls, id: id, kind: k}
+	init(s)
 	r.series[id] = s
 	return s
 }
@@ -285,36 +290,28 @@ func (r *Registry) register(name, help string, k kind, labels []string) *series 
 // Counter registers (or retrieves) a counter series. Labels are
 // alternating key, value strings.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, counterKind, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.register(name, help, counterKind, labels, func(s *series) { s.c = &Counter{} }).c
 }
 
 // CounterFunc registers a counter whose value is read from f at exposition
 // time — for cumulative counts owned elsewhere (store hits, sims total).
-// f must be safe for concurrent use and monotonic.
+// f must be safe for concurrent use and monotonic. Re-registering an
+// existing series keeps its first f.
 func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...string) {
-	s := r.register(name, help, counterFuncKind, labels)
-	s.cf = f
+	r.register(name, help, counterFuncKind, labels, func(s *series) { s.cf = f })
 }
 
 // Gauge registers (or retrieves) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, gaugeKind, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.register(name, help, gaugeKind, labels, func(s *series) { s.g = &Gauge{} }).g
 }
 
 // GaugeFunc registers a gauge whose value is read from f at exposition
 // time — for live values owned elsewhere (goroutines, heap bytes,
 // in-flight simulations). f must be safe for concurrent use.
+// Re-registering an existing series keeps its first f.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...string) {
-	s := r.register(name, help, gaugeFuncKind, labels)
-	s.gf = f
+	r.register(name, help, gaugeFuncKind, labels, func(s *series) { s.gf = f })
 }
 
 // Histogram registers (or retrieves) a histogram series with the given
@@ -326,23 +323,16 @@ func (r *Registry) Histogram(name, help string, uppers []float64, labels ...stri
 			panic(fmt.Sprintf("obs: histogram %s buckets not ascending: %v", name, uppers))
 		}
 	}
-	s := r.register(name, help, histogramKind, labels)
-	if s.h == nil {
+	h := r.register(name, help, histogramKind, labels, func(s *series) {
 		s.h = &Histogram{
 			uppers: append([]float64(nil), uppers...),
 			counts: make([]atomic.Int64, len(uppers)+1),
 		}
-		return s.h
-	}
-	if len(s.h.uppers) != len(uppers) {
+	}).h
+	if !slices.Equal(h.uppers, uppers) {
 		panic(fmt.Sprintf("obs: histogram %s re-registered with different buckets", name))
 	}
-	for i, u := range uppers {
-		if s.h.uppers[i] != u {
-			panic(fmt.Sprintf("obs: histogram %s re-registered with different buckets", name))
-		}
-	}
-	return s.h
+	return h
 }
 
 // sorted returns the series in stable (name, labels) order.
