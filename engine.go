@@ -51,6 +51,12 @@ func WiFi() Model { return wifiModel{} }
 // windows, which Abstract implements.
 func AbstractUnaligned() Model { return abstractModel{unaligned: true} }
 
+// ErrNoProgress is the error of a single batch whose backoff schedule
+// cannot resolve it, such as FIXED:2 at n = 64 on the abstract models: the
+// run gives up after a fixed number of contention windows instead of
+// spinning. Test for it with errors.Is.
+var ErrNoProgress = slotted.ErrNoProgress
+
 // errUnsupported formats the model × workload incompatibility error.
 func errUnsupported(m Model, w Workload) error {
 	return fmt.Errorf("repro: the %s model does not support the %s workload",
@@ -81,10 +87,12 @@ func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, er
 			return Result{}, err
 		}
 		g := o.stream(fmt.Sprintf("%s|%s|n=%d", m.Name(), s.Algorithm, s.N))
+		run := slotted.RunBatch
 		if m.unaligned {
-			res = slotted.RunBatchUnaligned(s.N, f, g)
-		} else {
-			res = slotted.RunBatch(s.N, f, g)
+			run = slotted.RunBatchUnaligned
+		}
+		if res, err = run(s.N, f, g); err != nil {
+			return Result{}, err
 		}
 	case TreeWorkload:
 		if m.unaligned {

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -45,6 +46,17 @@ func TestEngineRunHonoursCancelledContext(t *testing.T) {
 	cancel()
 	if _, err := eng.Run(ctx, Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10}); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestEngineRunNoProgressIsAnError runs a batch that Validate accepts but
+// whose schedule can never resolve it: two-slot windows for 64 packets.
+// The run ends in ErrNoProgress rather than a panic or a hang.
+func TestEngineRunNoProgressIsAnError(t *testing.T) {
+	var eng Engine
+	_, err := eng.Run(t.Context(), Scenario{Model: Abstract(), Algorithm: FixedWindow(2), N: 64})
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("got %v, want ErrNoProgress", err)
 	}
 }
 

@@ -172,7 +172,7 @@ func TestTableIIGrowthShapes(t *testing.T) {
 			vals := make([]float64, trials)
 			for tr := 0; tr < trials; tr++ {
 				g := rng.New(uint64(8100 + tr)).Derive(name + "-" + string(rune(n)))
-				vals[tr] = float64(slotted.RunBatch(n, f, g).CWSlots)
+				vals[tr] = float64(runSlotted(t, n, f, g).CWSlots)
 			}
 			med[i] = medianF(vals)
 		}
@@ -184,6 +184,16 @@ func TestTableIIGrowthShapes(t *testing.T) {
 			t.Errorf("%s: CW-slot shape ratio spread %.2f > 3 (ratios %v)", name, spread, ratios)
 		}
 	}
+}
+
+// runSlotted runs the aligned abstract kernel, failing t on an error.
+func runSlotted(t *testing.T, n int, f backoff.Factory, g *rng.Source) slotted.Result {
+	t.Helper()
+	res, err := slotted.RunBatch(n, f, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestTableIIICollisionShapes validates the collision bounds the paper
@@ -201,7 +211,7 @@ func TestTableIIICollisionShapes(t *testing.T) {
 			vals := make([]float64, trials)
 			for tr := 0; tr < trials; tr++ {
 				g := rng.New(uint64(9100 + tr)).Derive(name + "-" + string(rune(n)))
-				vals[tr] = float64(slotted.RunBatch(n, f, g).Collisions)
+				vals[tr] = float64(runSlotted(t, n, f, g).Collisions)
 			}
 			out[i] = medianF(vals)
 		}

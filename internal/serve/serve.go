@@ -306,7 +306,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		if r.Context().Err() != nil {
 			return err // client gone; nothing to write
 		}
-		writeError(w, http.StatusBadRequest, err)
+		// A valid scenario whose simulation gave up is not a malformed
+		// request: the scenario is well formed but cannot be resolved.
+		status := http.StatusBadRequest
+		if errors.Is(err, repro.ErrNoProgress) {
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, status, err)
 		return err
 	}
 	fp, _ := sc.Fingerprint()

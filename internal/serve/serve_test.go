@@ -400,6 +400,44 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnresolvableCell runs a scenario that Validate accepts but whose
+// schedule cannot resolve it (two-slot windows for 64 packets). In a sweep
+// it is that cell's error line between good cells; on /v1/run it is a 422;
+// either way the server keeps serving.
+func TestUnresolvableCell(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	poison := repro.ScenarioSpec{Model: "abstract", Algorithm: "FIXED:2", N: 64}
+	good := repro.ScenarioSpec{Model: "abstract", Algorithm: "BEB", N: 40}
+	resp, body := postJSON(t, hs.URL+"/v1/sweep", "a",
+		sweepRequest{Scenarios: []repro.ScenarioSpec{good, poison, good}, Seeds: []uint64{1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: HTTP %d %s", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("sweep streamed %d lines, want 3:\n%s", len(lines), body)
+	}
+	for i, line := range lines {
+		var cell cellWire
+		if err := json.Unmarshal([]byte(line), &cell); err != nil {
+			t.Fatal(err)
+		}
+		if poisoned := i == 1; poisoned != (cell.Error != "") || poisoned == (cell.Result != nil) {
+			t.Fatalf("line %d: %s", i, line)
+		}
+	}
+	if !strings.Contains(lines[1], repro.ErrNoProgress.Error()) {
+		t.Fatalf("poison cell line %s does not carry ErrNoProgress", lines[1])
+	}
+
+	if resp, body := postJSON(t, hs.URL+"/v1/run", "a", runRequest{Scenario: poison, Seed: 1}); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("unresolvable run: HTTP %d %s, want 422", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, hs.URL+"/v1/run", "a", runRequest{Scenario: good, Seed: 2}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the poison cell: HTTP %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestAggregateEndpoint checks the report path end to end, including the
 // NaN → null convention for not-applicable metrics.
 func TestAggregateEndpoint(t *testing.T) {

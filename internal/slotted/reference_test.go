@@ -178,7 +178,7 @@ func TestRunBatchMatchesReference(t *testing.T) {
 				label := fmt.Sprintf("%s n=%d seed=%d", name, n, seed)
 				g := rng.New(uint64(seed)).Derive(label)
 				want := referenceRunBatch(n, a.f, g.Derive("run"))
-				got := RunBatch(n, a.f, g.Derive("run"))
+				got := runBatch(t, n, a.f, g.Derive("run"))
 				sameResult(t, label, got, want)
 			}
 		}

@@ -13,11 +13,26 @@
 package slotted
 
 import (
-	"sort"
+	"errors"
+	"slices"
 
 	"repro/internal/backoff"
 	"repro/internal/rng"
 )
+
+// ErrNoProgress reports a batch whose backoff schedule walked maxWindows
+// contention windows without delivering every packet — a schedule whose
+// windows stay too small for the batch, such as FIXED:2 at n = 64.
+var ErrNoProgress = errors.New("slotted: window schedule not making progress")
+
+// maxWindows bounds the windows one batch (aligned) or one station
+// (unaligned) may open before the run fails with ErrNoProgress.
+const maxWindows = 1 << 22
+
+// denseFactor picks how a window's draws are grouped by slot: a window of
+// at most denseFactor·m slots for m draws is tallied in a w-slot array,
+// which then costs O(m) to walk; a sparser window sorts its m draws instead.
+const denseFactor = 4
 
 // Result collects the outcome of one single-batch run in the abstract model.
 type Result struct {
@@ -42,10 +57,33 @@ type Result struct {
 	// MaxAttemptsPerPacket is the maximum attempts by any single packet; in
 	// the MAC world attempts-1 is that station's ACK-timeout count.
 	MaxAttemptsPerPacket int
-	// FinishSlots holds each packet's 1-based finishing slot, in packet order.
+	// FinishSlots holds every packet's 1-based finishing slot in ascending
+	// order. Packets are exchangeable, so a packet is labelled by its
+	// finishing rank rather than by an arrival index.
 	FinishSlots []int
 	// Windows is the number of contention windows the batch walked through.
 	Windows int
+}
+
+// success records a delivery in global slot s (1-based). Deliveries must
+// arrive in ascending slot order, with every collision in an earlier slot
+// already counted, so the ceil(n/2)-th one fixes the half-way metrics.
+func (r *Result) success(s int) {
+	r.SingletonSlots++
+	r.FinishSlots = append(r.FinishSlots, s)
+	if len(r.FinishSlots) == (r.N+1)/2 {
+		r.HalfSlots = s
+		r.CollisionsAtHalf = r.Collisions
+	}
+}
+
+// finish derives the makespan metrics once every packet has succeeded.
+// Every singleton and collision slot lies at or before CWSlots by
+// construction: the tail of the final window past the last success is
+// empty and excluded by definition of CWSlots.
+func (r *Result) finish() {
+	r.CWSlots = r.FinishSlots[len(r.FinishSlots)-1]
+	r.EmptySlots = max(r.CWSlots-r.SingletonSlots-r.Collisions, 0)
 }
 
 // Aligned reports results for the batch-aligned window semantics the
@@ -54,111 +92,96 @@ type Result struct {
 // deterministic.
 //
 // RunBatch simulates one run with a fresh policy from f and randomness g.
-// It panics if n < 1 or the policy stops making progress.
-func RunBatch(n int, f backoff.Factory, g *rng.Source) Result {
+// Packets are exchangeable, so the kernel tracks only how many are
+// pending: each window draws one slot per pending packet, g.Intn(w) in
+// turn, and a slot drawn exactly once is a success. It returns
+// ErrNoProgress if the schedule walks maxWindows windows, and panics if
+// n < 1 or the policy returns a window below 1.
+func RunBatch(n int, f backoff.Factory, g *rng.Source) (Result, error) {
 	if n < 1 {
 		panic("slotted: RunBatch needs n >= 1")
 	}
 	policy := f()
 	policy.Reset()
 
-	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
-
-	// pending holds indices of unfinished packets.
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	half := (n + 1) / 2
-	finished := 0
-
-	// scratch pairs: (slot, packet) for the current window.
-	type draw struct{ slot, pkt int }
-	draws := make([]draw, 0, n)
-
-	offset := 0 // global slots elapsed before the current window
-	const maxWindows = 1 << 22
-	for len(pending) > 0 {
+	res := Result{N: n, FinishSlots: make([]int, 0, n)}
+	var tally []uint8 // dense windows: draws per slot, saturating at 2; kept zeroed
+	var draws []int   // sparse windows: the sorted draws
+	offset := 0       // global slots elapsed before the current window
+	for m := n; m > 0; m = n - res.SingletonSlots {
 		res.Windows++
 		if res.Windows > maxWindows {
-			panic("slotted: window schedule not making progress")
+			return Result{}, ErrNoProgress
 		}
 		w := policy.NextWindow()
 		if w < 1 {
 			panic("slotted: policy returned window < 1")
 		}
+		res.Attempts += m
 
-		draws = draws[:0]
-		for _, p := range pending {
-			draws = append(draws, draw{slot: g.Intn(w), pkt: p})
-			attempts[p]++
-			res.Attempts++
-		}
-		sort.Slice(draws, func(i, j int) bool { return draws[i].slot < draws[j].slot })
-
-		// Walk runs of equal slot index.
-		next := pending[:0]
-		for i := 0; i < len(draws); {
-			j := i + 1
-			for j < len(draws) && draws[j].slot == draws[i].slot {
-				j++
+		// Both branches visit the window's occupied slots in ascending
+		// order, so HalfSlots and CollisionsAtHalf see exactly the
+		// collisions in earlier slots.
+		if w <= denseFactor*m {
+			if w > len(tally) {
+				tally = make([]uint8, max(w, 2*len(tally)))
 			}
-			if j-i == 1 {
-				pkt := draws[i].pkt
-				res.SingletonSlots++
-				res.FinishSlots[pkt] = offset + draws[i].slot + 1
-				finished++
-				if finished == half && res.HalfSlots == 0 {
-					res.HalfSlots = offset + draws[i].slot + 1
-					// Runs are processed in slot order, so res.Collisions
-					// already counts exactly the collisions in slots before
-					// this one (in this window and all earlier ones).
-					res.CollisionsAtHalf = res.Collisions
-				}
-			} else {
-				res.Collisions++
-				for k := i; k < j; k++ {
-					next = append(next, draws[k].pkt)
+			for range m {
+				if s := g.Intn(w); tally[s] < 2 {
+					tally[s]++
 				}
 			}
-			i = j
+			for s, c := range tally[:w] {
+				switch c {
+				case 0:
+					continue
+				case 1:
+					res.success(offset + s + 1)
+				default:
+					res.Collisions++
+				}
+				tally[s] = 0
+			}
+		} else {
+			draws = draws[:0]
+			for range m {
+				draws = append(draws, g.Intn(w))
+			}
+			slices.Sort(draws)
+			for i := 0; i < len(draws); {
+				j := i + 1
+				for j < len(draws) && draws[j] == draws[i] {
+					j++
+				}
+				if j-i == 1 {
+					res.success(offset + draws[i] + 1)
+				} else {
+					res.Collisions++
+				}
+				i = j
+			}
 		}
-		pending = next
 		offset += w
 	}
-
-	for _, p := range res.FinishSlots {
-		if p > res.CWSlots {
-			res.CWSlots = p
-		}
-	}
-	for _, a := range attempts {
-		if a > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = a
-		}
-	}
-	// Empty slots: every slot up to the makespan that held no transmission.
-	// Every singleton and collision slot lies at or before CWSlots by
-	// construction: the tail of the final window past the last success is
-	// empty and excluded by definition of CWSlots.
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	if res.EmptySlots < 0 {
-		res.EmptySlots = 0
-	}
-	return res
+	// Every packet still pending in the final window took part in every
+	// window.
+	res.MaxAttemptsPerPacket = res.Windows
+	res.finish()
+	return res, nil
 }
 
 // RunBatchUnaligned simulates the same single batch but with per-station
 // window boundaries: after a failure a station waits until the end of its
 // own window and opens the next one there, with no global alignment. This
 // matches how the schedule unrolls inside a real MAC once stations'
-// histories diverge, and is the ablation counterpart of RunBatch.
-func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) Result {
+// histories diverge, and is the ablation counterpart of RunBatch. Here
+// windows are per station, so the kernel does track identities. It returns
+// ErrNoProgress once any station has opened maxWindows windows.
+func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) (Result, error) {
 	if n < 1 {
 		panic("slotted: RunBatchUnaligned needs n >= 1")
 	}
-	res := Result{N: n, FinishSlots: make([]int, n)}
+	res := Result{N: n, FinishSlots: make([]int, 0, n)}
 
 	type station struct {
 		policy   backoff.Policy
@@ -179,10 +202,8 @@ func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) Result {
 	}
 	res.Attempts = n
 
-	finished := 0
-	half := (n + 1) / 2
 	var ids []int
-	for finished < n {
+	for res.SingletonSlots < n {
 		if h.len() == 0 {
 			panic("slotted: no pending attempts but packets unfinished")
 		}
@@ -193,39 +214,25 @@ func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) Result {
 			ids = append(ids, h.pop().id)
 		}
 		if len(ids) == 1 {
-			id := ids[0]
-			res.SingletonSlots++
-			res.FinishSlots[id] = slot + 1
-			finished++
-			if finished == half && res.HalfSlots == 0 {
-				res.HalfSlots = slot + 1
-				res.CollisionsAtHalf = res.Collisions
-			}
-		} else {
-			res.Collisions++
-			for _, id := range ids {
-				s := sts[id]
-				s.winStart += s.winSize
-				s.winSize = s.policy.NextWindow()
-				h.push(attempt{slot: s.winStart + g.Intn(s.winSize), id: id})
-				s.attempts++
-				res.Attempts++
-			}
+			res.success(slot + 1)
+			continue
 		}
-	}
-	for _, p := range res.FinishSlots {
-		if p > res.CWSlots {
-			res.CWSlots = p
+		res.Collisions++
+		for _, id := range ids {
+			s := sts[id]
+			if s.attempts == maxWindows {
+				return Result{}, ErrNoProgress
+			}
+			s.winStart += s.winSize
+			s.winSize = s.policy.NextWindow()
+			h.push(attempt{slot: s.winStart + g.Intn(s.winSize), id: id})
+			s.attempts++
+			res.Attempts++
 		}
 	}
 	for _, s := range sts {
-		if s.attempts > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = s.attempts
-		}
+		res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, s.attempts)
 	}
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	if res.EmptySlots < 0 {
-		res.EmptySlots = 0
-	}
-	return res
+	res.finish()
+	return res, nil
 }

@@ -1,12 +1,34 @@
 package slotted
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/backoff"
 	"repro/internal/rng"
 )
+
+// runBatch runs the aligned kernel, failing t if it reports an error.
+func runBatch(t testing.TB, n int, f backoff.Factory, g *rng.Source) Result {
+	t.Helper()
+	res, err := RunBatch(n, f, g)
+	if err != nil {
+		t.Fatalf("RunBatch(%d): %v", n, err)
+	}
+	return res
+}
+
+// runUnaligned runs the unaligned kernel, failing t if it reports an error.
+func runUnaligned(t testing.TB, n int, f backoff.Factory, g *rng.Source) Result {
+	t.Helper()
+	res, err := RunBatchUnaligned(n, f, g)
+	if err != nil {
+		t.Fatalf("RunBatchUnaligned(%d): %v", n, err)
+	}
+	return res
+}
 
 func checkInvariants(t *testing.T, res Result, n int) {
 	t.Helper()
@@ -56,7 +78,7 @@ func TestRunBatchInvariantsAllAlgorithms(t *testing.T) {
 	g := rng.New(1)
 	for _, f := range backoff.PaperAlgorithms() {
 		for _, n := range []int{1, 2, 3, 10, 50, 150} {
-			res := RunBatch(n, f, g.Derive(f().Name()))
+			res := runBatch(t, n, f, g.Derive(f().Name()))
 			checkInvariants(t, res, n)
 		}
 	}
@@ -66,7 +88,7 @@ func TestRunBatchUnalignedInvariants(t *testing.T) {
 	g := rng.New(2)
 	for _, f := range backoff.PaperAlgorithms() {
 		for _, n := range []int{1, 2, 10, 80} {
-			res := RunBatchUnaligned(n, f, g.Derive(f().Name()))
+			res := runUnaligned(t, n, f, g.Derive(f().Name()))
 			checkInvariants(t, res, n)
 		}
 	}
@@ -74,7 +96,7 @@ func TestRunBatchUnalignedInvariants(t *testing.T) {
 
 func TestSinglePacketFinishesFirstWindow(t *testing.T) {
 	g := rng.New(3)
-	res := RunBatch(1, backoff.NewBEB, g)
+	res := runBatch(t, 1, backoff.NewBEB, g)
 	if res.CWSlots != 1 || res.Collisions != 0 || res.Windows != 1 {
 		t.Fatalf("single packet: %+v", res)
 	}
@@ -84,7 +106,7 @@ func TestTwoPacketsAlwaysCollideInWindowOne(t *testing.T) {
 	// BEB's first window has size 1, so both packets must collide there.
 	g := rng.New(4)
 	for trial := 0; trial < 20; trial++ {
-		res := RunBatch(2, backoff.NewBEB, g.Derive(string(rune(trial))))
+		res := runBatch(t, 2, backoff.NewBEB, g.Derive(string(rune(trial))))
 		if res.Collisions < 1 {
 			t.Fatalf("trial %d: 2 packets in window of size 1 did not collide", trial)
 		}
@@ -92,8 +114,8 @@ func TestTwoPacketsAlwaysCollideInWindowOne(t *testing.T) {
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
-	a := RunBatch(50, backoff.NewBEB, rng.New(99))
-	b := RunBatch(50, backoff.NewBEB, rng.New(99))
+	a := runBatch(t, 50, backoff.NewBEB, rng.New(99))
+	b := runBatch(t, 50, backoff.NewBEB, rng.New(99))
 	if a.CWSlots != b.CWSlots || a.Collisions != b.Collisions || a.Attempts != b.Attempts {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
@@ -103,7 +125,7 @@ func TestHalfSlotsMatchesFinishOrder(t *testing.T) {
 	g := rng.New(5)
 	err := quick.Check(func(seed uint32, nRaw uint8) bool {
 		n := int(nRaw%100) + 1
-		res := RunBatch(n, backoff.NewBEB, g.Derive(string(rune(seed))))
+		res := runBatch(t, n, backoff.NewBEB, g.Derive(string(rune(seed))))
 		// Count packets finishing at or before HalfSlots: must be exactly
 		// ceil(n/2) ... or more only if ties share the boundary slot, which
 		// cannot happen (one success per slot).
@@ -125,7 +147,7 @@ func TestSlotAccounting(t *testing.T) {
 	// and the gap is exactly 0 given EmptySlots is computed as remainder.
 	g := rng.New(6)
 	for _, f := range backoff.PaperAlgorithms() {
-		res := RunBatch(60, f, g.Derive(f().Name()))
+		res := runBatch(t, 60, f, g.Derive(f().Name()))
 		total := res.EmptySlots + res.SingletonSlots + res.Collisions
 		if total != res.CWSlots {
 			t.Fatalf("%s: slot accounting %d != makespan %d", f().Name(), total, res.CWSlots)
@@ -144,7 +166,7 @@ func TestExpectedOrderingCWSlots(t *testing.T) {
 		name := f().Name()
 		vals := make([]int, trials)
 		for tr := 0; tr < trials; tr++ {
-			vals[tr] = RunBatch(n, f, g.Derive(name+string(rune(tr)))).CWSlots
+			vals[tr] = runBatch(t, n, f, g.Derive(name+string(rune(tr)))).CWSlots
 		}
 		med[name] = medianInt(vals)
 	}
@@ -170,7 +192,7 @@ func TestExpectedOrderingCollisions(t *testing.T) {
 		name := f().Name()
 		vals := make([]int, trials)
 		for tr := 0; tr < trials; tr++ {
-			vals[tr] = RunBatch(n, f, g.Derive(name+string(rune(tr)))).Collisions
+			vals[tr] = runBatch(t, n, f, g.Derive(name+string(rune(tr)))).Collisions
 		}
 		med[name] = medianInt(vals)
 	}
@@ -190,7 +212,7 @@ func TestCollisionsScaleRoughlyLinearlyForBEB(t *testing.T) {
 		const trials = 9
 		vals := make([]int, trials)
 		for tr := 0; tr < trials; tr++ {
-			vals[tr] = RunBatch(n, backoff.NewBEB, g.Derive(string(rune(n*100+tr)))).Collisions
+			vals[tr] = runBatch(t, n, backoff.NewBEB, g.Derive(string(rune(n*100+tr)))).Collisions
 		}
 		return float64(medianInt(vals)) / float64(n)
 	}
@@ -202,11 +224,41 @@ func TestCollisionsScaleRoughlyLinearlyForBEB(t *testing.T) {
 
 func TestUnalignedStillFinishesEveryone(t *testing.T) {
 	g := rng.New(10)
-	res := RunBatchUnaligned(120, backoff.NewSTB, g)
+	res := runUnaligned(t, 120, backoff.NewSTB, g)
 	for i, s := range res.FinishSlots {
 		if s == 0 {
 			t.Fatalf("unaligned STB: packet %d unfinished", i)
 		}
+	}
+}
+
+// TestFinishSlotsAscending pins the FinishSlots contract every kernel
+// shares: one entry per packet, in finishing order.
+func TestFinishSlotsAscending(t *testing.T) {
+	g := rng.New(12)
+	for _, f := range backoff.PaperAlgorithms() {
+		name := f().Name()
+		for _, res := range []Result{
+			runBatch(t, 200, f, g.Derive("aligned"+name)),
+			runUnaligned(t, 200, f, g.Derive("unaligned"+name)),
+			RunTreeBatch(200, g.Derive("tree"+name)),
+		} {
+			if !slices.IsSorted(res.FinishSlots) {
+				t.Fatalf("%s: FinishSlots not ascending: %v", name, res.FinishSlots)
+			}
+		}
+	}
+}
+
+// TestNoProgressIsAnError drives both windowed kernels with a schedule that
+// can never separate two packets: each gives up with ErrNoProgress.
+func TestNoProgressIsAnError(t *testing.T) {
+	fixed1 := func() backoff.Policy { return backoff.NewFixed(1) }
+	if _, err := RunBatch(2, fixed1, rng.New(13)); !errors.Is(err, ErrNoProgress) {
+		t.Errorf("RunBatch: err = %v, want ErrNoProgress", err)
+	}
+	if _, err := RunBatchUnaligned(2, fixed1, rng.New(13)); !errors.Is(err, ErrNoProgress) {
+		t.Errorf("RunBatchUnaligned: err = %v, want ErrNoProgress", err)
 	}
 }
 

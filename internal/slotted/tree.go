@@ -14,57 +14,46 @@ import (
 // collision) per slot, so under the paper's cost lens every one of their
 // Θ(n) collisions is as expensive as a windowed algorithm's — they optimize
 // the same mis-priced metric. Included as the non-backoff baseline.
+//
+// Packets are exchangeable, so the resolution stack holds group sizes, not
+// packets: a collision of k packets flips the same k coins in turn and
+// splits into the counts that landed left and right.
 func RunTreeBatch(n int, g *rng.Source) Result {
 	if n < 1 {
 		panic("slotted: RunTreeBatch needs n >= 1")
 	}
-	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
+	res := Result{N: n, FinishSlots: make([]int, 0, n)}
 
-	// The resolution stack holds packet groups awaiting their slot;
-	// depth-first order matches the recursive definition.
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	stack := [][]int{all}
+	// group is a node of the splitting tree awaiting its slot: size packets
+	// that have each transmitted depth-1 times before.
+	type group struct{ size, depth int }
+	// Depth-first order matches the recursive definition.
+	stack := []group{{n, 1}}
 	slot := 0
-	finished := 0
-	half := (n + 1) / 2
-
 	for len(stack) > 0 {
-		group := stack[len(stack)-1]
+		gr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		slot++
 		res.Windows++ // each tree node is its own single-slot "window"
+		res.Attempts += gr.size
 
-		for _, pkt := range group {
-			attempts[pkt]++
-			res.Attempts++
-		}
-		switch len(group) {
+		switch gr.size {
 		case 0:
 			// Idle slot.
 		case 1:
-			res.SingletonSlots++
-			res.FinishSlots[group[0]] = slot
-			finished++
-			if finished == half && res.HalfSlots == 0 {
-				res.HalfSlots = slot
-				res.CollisionsAtHalf = res.Collisions
-			}
+			// A packet transmits once per tree level it passes through.
+			res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, gr.depth)
+			res.success(slot)
 		default:
 			res.Collisions++
-			var left, right []int
-			for _, pkt := range group {
+			left := 0
+			for range gr.size {
 				if g.Bernoulli(0.5) {
-					left = append(left, pkt)
-				} else {
-					right = append(right, pkt)
+					left++
 				}
 			}
 			// Depth-first: resolve left before right.
-			stack = append(stack, right, left)
+			stack = append(stack, group{gr.size - left, gr.depth + 1}, group{left, gr.depth + 1})
 		}
 	}
 
@@ -72,10 +61,5 @@ func RunTreeBatch(n int, g *rng.Source) Result {
 	// right-subtree slots included), so the makespan is the full slot count.
 	res.CWSlots = slot
 	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	for _, a := range attempts {
-		if a > res.MaxAttemptsPerPacket {
-			res.MaxAttemptsPerPacket = a
-		}
-	}
 	return res
 }

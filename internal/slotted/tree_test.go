@@ -102,7 +102,7 @@ func TestTreeVsSawtoothCollisions(t *testing.T) {
 	var tree, stb []int
 	for tr := 0; tr < trials; tr++ {
 		tree = append(tree, RunTreeBatch(n, g.Derive("t"+string(rune(tr)))).Collisions)
-		stb = append(stb, RunBatch(n, backoff.NewSTB, g.Derive("s"+string(rune(tr)))).Collisions)
+		stb = append(stb, runBatch(t, n, backoff.NewSTB, g.Derive("s"+string(rune(tr)))).Collisions)
 	}
 	if medianInt(tree) >= medianInt(stb) {
 		t.Fatalf("tree collisions %d not below STB %d", medianInt(tree), medianInt(stb))

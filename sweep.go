@@ -30,7 +30,8 @@ type Cell struct {
 	Seed uint64
 	// Result holds the outcome when Err is nil.
 	Result Result
-	// Err is the validation, unsupported-workload, or context error.
+	// Err is the validation, unsupported-workload, simulation (ErrNoProgress)
+	// or context error.
 	Err error
 	// JSON is set only by Engine.SweepJSON, on a successful cell served
 	// through a Store: the Result's encoding, json.Marshal(Result) — the
