@@ -144,26 +144,49 @@ func sweepBenchGrid() ([]repro.Scenario, []uint64) {
 	return scenarios, repro.SequentialSeeds(1, 8)
 }
 
+// sweepAll runs one sweep of the grid on eng and fails b on any cell error
+// or a short stream.
+func sweepAll(b *testing.B, eng *repro.Engine, scenarios []repro.Scenario, seeds []uint64) {
+	cells := 0
+	for cell := range eng.Sweep(context.Background(), scenarios, seeds) {
+		if cell.Err != nil {
+			b.Fatal(cell.Err)
+		}
+		cells++
+	}
+	if cells != len(scenarios)*len(seeds) {
+		b.Fatalf("got %d cells", cells)
+	}
+}
+
 func runSweepBench(b *testing.B, workers int) {
 	scenarios, seeds := sweepBenchGrid()
 	eng := repro.Engine{Workers: workers}
 	for i := 0; i < b.N; i++ {
-		cells := 0
-		for cell := range eng.Sweep(context.Background(), scenarios, seeds) {
-			if cell.Err != nil {
-				b.Fatal(cell.Err)
-			}
-			cells++
-		}
-		if cells != len(scenarios)*len(seeds) {
-			b.Fatalf("got %d cells", cells)
-		}
+		sweepAll(b, &eng, scenarios, seeds)
 	}
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
 func BenchmarkSweepSerial(b *testing.B)   { runSweepBench(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { runSweepBench(b, 0) }
+
+// BenchmarkSweepAbstract is the abstract model's row of the ledger: the
+// four paper algorithms and tree splitting at n = 10^4, where the
+// asymptotic argument of Figures 5, 15 and 16 lives, two seeds each on one
+// worker. Its time is the slotted kernels' time.
+func BenchmarkSweepAbstract(b *testing.B) {
+	var scenarios []repro.Scenario
+	for _, a := range repro.PaperAlgorithmList() {
+		scenarios = append(scenarios, repro.Scenario{Model: repro.Abstract(), Algorithm: a, N: 10000})
+	}
+	scenarios = append(scenarios, repro.Scenario{Model: repro.Abstract(), N: 10000, Workload: repro.TreeWorkload{}})
+	seeds := repro.SequentialSeeds(1, 2)
+	eng := repro.Engine{Workers: 1}
+	for i := 0; i < b.N; i++ {
+		sweepAll(b, &eng, scenarios, seeds)
+	}
+}
 
 // BenchmarkSweepCached runs the same grid as BenchmarkSweepParallel against
 // a pre-warmed result store: every cell replays from the log instead of
@@ -177,22 +200,10 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 	defer st.Close()
 	eng := repro.Engine{Store: st}
-	warm := func() {
-		cells := 0
-		for cell := range eng.Sweep(context.Background(), scenarios, seeds) {
-			if cell.Err != nil {
-				b.Fatal(cell.Err)
-			}
-			cells++
-		}
-		if cells != len(scenarios)*len(seeds) {
-			b.Fatalf("got %d cells", cells)
-		}
-	}
-	warm() // populate the store; everything after this is replay
+	sweepAll(b, &eng, scenarios, seeds) // populate the store; everything after this is replay
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		warm()
+		sweepAll(b, &eng, scenarios, seeds)
 	}
 	s := st.Stats()
 	if s.Misses != int64(len(scenarios)*len(seeds)) {
@@ -228,16 +239,7 @@ func BenchmarkSweepObserved(b *testing.B) {
 	}
 	eng := repro.Engine{Observer: o}
 	for i := 0; i < b.N; i++ {
-		cells := 0
-		for cell := range eng.Sweep(context.Background(), scenarios, seeds) {
-			if cell.Err != nil {
-				b.Fatal(cell.Err)
-			}
-			cells++
-		}
-		if cells != len(scenarios)*len(seeds) {
-			b.Fatalf("got %d cells", cells)
-		}
+		sweepAll(b, &eng, scenarios, seeds)
 	}
 	if got := o.cells.Value(); got != int64(b.N*len(scenarios)*len(seeds)) {
 		b.Fatalf("observer saw %d cells", got)

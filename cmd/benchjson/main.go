@@ -65,7 +65,7 @@ type File struct {
 }
 
 func main() {
-	bench := flag.String("bench", "^Benchmark(Sweep(Serial|Parallel|Cached|Observed)|ServeWarm)$",
+	bench := flag.String("bench", "^Benchmark(Sweep(Serial|Parallel|Cached|Observed|Abstract)|ServeWarm)$",
 		"benchmark regex passed to go test -bench")
 	count := flag.Int("count", 5, "runs per benchmark; the committed value is the median")
 	pkg := flag.String("pkg", ".", "package to benchmark")
