@@ -92,7 +92,7 @@ func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, er
 			run = slotted.RunBatchUnaligned
 		}
 		if res, err = run(s.N, f, g); err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("repro: %s: %w", s, err)
 		}
 	case TreeWorkload:
 		if m.unaligned {
