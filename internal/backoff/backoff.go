@@ -190,42 +190,6 @@ func (q *poly) NextWindow() int {
 	return w
 }
 
-// --- Truncation wrapper ----------------------------------------------------
-
-// truncated clamps every window of an inner policy into [min, max], the way
-// IEEE 802.11's DCF truncates BEB between CWmin and CWmax (Table I uses
-// min 1, max 1024).
-type truncated struct {
-	inner    Policy
-	min, max int
-}
-
-// NewTruncated clamps policy windows into [min, max].
-func NewTruncated(inner Policy, min, max int) Policy {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	return &truncated{inner: inner, min: min, max: max}
-}
-
-func (t *truncated) Name() string {
-	return fmt.Sprintf("%s[%d,%d]", t.inner.Name(), t.min, t.max)
-}
-func (t *truncated) Reset() { t.inner.Reset() }
-func (t *truncated) NextWindow() int {
-	w := t.inner.NextWindow()
-	if w < t.min {
-		return t.min
-	}
-	if w > t.max {
-		return t.max
-	}
-	return w
-}
-
 // --- Registry ---------------------------------------------------------------
 
 // Registered returns the factory for a canonical algorithm name: "BEB",
@@ -253,23 +217,6 @@ func Registered(name string) (Factory, bool) {
 	}
 }
 
-// PaperAlgorithms returns the four algorithms of the paper's comparison in
-// presentation order: BEB, LB, LLB, STB.
-func PaperAlgorithms() []Factory {
-	return []Factory{NewBEB, NewLB, NewLLB, NewSTB}
-}
-
-// PaperAlgorithmNames returns the names matching PaperAlgorithms.
+// PaperAlgorithmNames returns the registered names of the four algorithms
+// of the paper's comparison in presentation order: BEB, LB, LLB, STB.
 func PaperAlgorithmNames() []string { return []string{"BEB", "LB", "LLB", "STB"} }
-
-// Windows returns the first k windows of a fresh policy from f; a debugging
-// and test helper.
-func Windows(f Factory, k int) []int {
-	p := f()
-	p.Reset()
-	out := make([]int, k)
-	for i := range out {
-		out[i] = p.NextWindow()
-	}
-	return out
-}

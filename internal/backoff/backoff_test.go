@@ -3,8 +3,32 @@ package backoff
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
+
+// Windows returns the first k windows of a fresh policy from f.
+func Windows(f Factory, k int) []int {
+	p := f()
+	p.Reset()
+	out := make([]int, k)
+	for i := range out {
+		out[i] = p.NextWindow()
+	}
+	return out
+}
+
+// paperAlgorithms returns the factories of PaperAlgorithmNames, in order.
+func paperAlgorithms(t *testing.T) []Factory {
+	t.Helper()
+	var fs []Factory
+	for _, name := range PaperAlgorithmNames() {
+		f, ok := Registered(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		fs = append(fs, f)
+	}
+	return fs
+}
 
 func TestBEBDoubles(t *testing.T) {
 	got := Windows(NewBEB, 8)
@@ -25,7 +49,7 @@ func TestBEBIsExactPowersOfTwo(t *testing.T) {
 }
 
 func TestResetRewinds(t *testing.T) {
-	for _, f := range PaperAlgorithms() {
+	for _, f := range paperAlgorithms(t) {
 		p := f()
 		p.Reset()
 		first := []int{p.NextWindow(), p.NextWindow(), p.NextWindow()}
@@ -193,44 +217,6 @@ func TestPolyQuadratic(t *testing.T) {
 	}
 }
 
-func TestTruncatedBounds(t *testing.T) {
-	err := quick.Check(func(minRaw uint8, maxRaw uint16) bool {
-		min := int(minRaw%64) + 1
-		max := min + int(maxRaw%512)
-		p := NewTruncated(NewBEB(), min, max)
-		p.Reset()
-		for i := 0; i < 50; i++ {
-			w := p.NextWindow()
-			if w < min || w > max {
-				return false
-			}
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTruncatedPaperConfig(t *testing.T) {
-	// Table I: CW min 1, max 1024. BEB truncated there saturates at 1024.
-	p := NewTruncated(NewBEB(), 1, 1024)
-	p.Reset()
-	var last int
-	for i := 0; i < 20; i++ {
-		last = p.NextWindow()
-	}
-	if last != 1024 {
-		t.Fatalf("truncated BEB saturates at %d, want 1024", last)
-	}
-}
-
-func TestTruncatedName(t *testing.T) {
-	if got := NewTruncated(NewBEB(), 1, 1024).Name(); got != "BEB[1,1024]" {
-		t.Fatalf("name = %q", got)
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	for _, name := range PaperAlgorithmNames() {
 		f, ok := Registered(name)
@@ -255,7 +241,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestAllWindowsPositive(t *testing.T) {
-	for _, f := range PaperAlgorithms() {
+	for _, f := range paperAlgorithms(t) {
 		for i, w := range Windows(f, 500) {
 			if w < 1 {
 				t.Fatalf("%s produced window %d at attempt %d", f().Name(), w, i)

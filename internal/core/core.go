@@ -5,14 +5,14 @@
 //
 // where C_A is the number of disjoint collisions, P the packet transmission
 // time, ρ the preamble duration, W_A the contention-window slots, and s the
-// slot duration; together with the asymptotic predictions of Tables II and
-// III and the per-run cost decomposition of Section III-B ((I) transmission
-// time, (II) ACK timeouts, (III) CW slots).
+// slot duration; together with the per-run cost decomposition of Section
+// III-B ((I) transmission time, (II) ACK timeouts, (III) CW slots). The
+// asymptotic growth shapes of Tables II and III are test oracles: they
+// live in core_test.go, next to the tests that hold measurements to them.
 package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/mac"
@@ -80,128 +80,4 @@ func (d Decomposition) String() string {
 		d.TransmissionTime.Round(time.Microsecond), d.AckTimeoutTime.Round(time.Microsecond),
 		d.CWSlotTime.Round(time.Microsecond), d.LowerBound.Round(time.Microsecond),
 		d.Observed.Round(time.Microsecond))
-}
-
-// CollisionCostRatio returns how many contention-window slots one collision
-// costs under a protocol configuration: (frame duration + ACK timeout) / s.
-// Assumption A2 prices this at 1. For the paper's 802.11g/64B setup it is
-// ~12.8; protocols with bigger frame-to-slot ratios (802.15.4 frames run to
-// milliseconds over 320 µs slots) price collisions even higher, which is
-// why the paper expects its findings to transfer (Section VIII).
-func CollisionCostRatio(cfg mac.Config) float64 {
-	collisionCost := cfg.DataFrameDuration() + cfg.AckTimeout
-	return float64(collisionCost) / float64(cfg.SlotTime)
-}
-
-// lg is log base 2, guarded to stay >= 1 so iterated logs of small n remain
-// defined and positive (the asymptotic forms only constrain large n).
-func lg(x float64) float64 {
-	v := math.Log2(x)
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
-// PredictedCWSlots returns the Table II contention-window-slot growth shape
-// for the algorithm (up to constant factors): BEB n·lg n, LB
-// n·lg n/lg lg n, LLB n·lg lg n/lg lg lg n, STB n.
-func PredictedCWSlots(algo string, n float64) (float64, error) {
-	switch algo {
-	case "BEB":
-		return n * lg(n), nil
-	case "LB":
-		return n * lg(n) / lg(lg(n)), nil
-	case "LLB":
-		return n * lg(lg(n)) / lg(lg(lg(n))), nil
-	case "STB":
-		return n, nil
-	default:
-		return 0, fmt.Errorf("core: no CW-slot prediction for %q", algo)
-	}
-}
-
-// PredictedCollisions returns the Table III disjoint-collision growth shape
-// C_A: BEB n, LB n·lg n/lg lg n, LLB n·lg lg n/lg lg lg n, STB n.
-func PredictedCollisions(algo string, n float64) (float64, error) {
-	switch algo {
-	case "BEB", "STB":
-		return n, nil
-	case "LB":
-		return n * lg(n) / lg(lg(n)), nil
-	case "LLB":
-		return n * lg(lg(n)) / lg(lg(lg(n))), nil
-	default:
-		return 0, fmt.Errorf("core: no collision prediction for %q", algo)
-	}
-}
-
-// PredictedTotalTime returns the Table III total-time shape
-// Θ(C_A·P + W_A) for packet transmission time p (in slot units).
-func PredictedTotalTime(algo string, n, p float64) (float64, error) {
-	c, err := PredictedCollisions(algo, n)
-	if err != nil {
-		return 0, err
-	}
-	w, err := PredictedCWSlots(algo, n)
-	if err != nil {
-		return 0, err
-	}
-	return c*p + w, nil
-}
-
-// CrossoverP returns the packet-duration threshold (in slot units) at which
-// the model predicts algorithm a's total time overtakes algorithm b's at
-// size n: the P solving C_a·P + W_a = C_b·P + W_b. It returns ok = false
-// when the model predicts no positive crossover (e.g. identical collision
-// shapes).
-func CrossoverP(a, b string, n float64) (p float64, ok bool) {
-	ca, errA := PredictedCollisions(a, n)
-	cb, errB := PredictedCollisions(b, n)
-	wa, _ := PredictedCWSlots(a, n)
-	wb, _ := PredictedCWSlots(b, n)
-	if errA != nil || errB != nil || ca == cb {
-		return 0, false
-	}
-	p = (wb - wa) / (ca - cb)
-	return p, p > 0
-}
-
-// ShapeRatios divides measured values by the predicted growth shape at each
-// n; a bounded, roughly flat ratio series supports the Θ-form. Used by the
-// Table II/III validation tests.
-func ShapeRatios(algo string, ns []int, measured []float64,
-	predict func(string, float64) (float64, error)) ([]float64, error) {
-	if len(ns) != len(measured) {
-		return nil, fmt.Errorf("core: %d sizes vs %d measurements", len(ns), len(measured))
-	}
-	out := make([]float64, len(ns))
-	for i, n := range ns {
-		pred, err := predict(algo, float64(n))
-		if err != nil {
-			return nil, err
-		}
-		if pred <= 0 {
-			return nil, fmt.Errorf("core: non-positive prediction for %s at n=%d", algo, n)
-		}
-		out[i] = measured[i] / pred
-	}
-	return out, nil
-}
-
-// RatioSpread returns max/min of a positive series: the flatness statistic
-// for ShapeRatios.
-func RatioSpread(rs []float64) float64 {
-	if len(rs) == 0 {
-		return math.NaN()
-	}
-	lo, hi := rs[0], rs[0]
-	for _, r := range rs[1:] {
-		lo = math.Min(lo, r)
-		hi = math.Max(hi, r)
-	}
-	if lo <= 0 {
-		return math.Inf(1)
-	}
-	return hi / lo
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,91 @@ import (
 	"repro/internal/rng"
 	"repro/internal/slotted"
 )
+
+// The Table II/III growth shapes, up to constant factors: the oracles
+// TestTableIIGrowthShapes and TestTableIIICollisionShapes hold measured
+// CW slots and collisions to.
+
+// lg is log base 2, guarded to stay >= 1 so iterated logs of small n remain
+// defined and positive (the asymptotic forms only constrain large n).
+func lg(x float64) float64 {
+	v := math.Log2(x)
+	if v < 1 {
+		return 1
+	}
+	return v
+}
+
+// PredictedCWSlots returns the Table II contention-window-slot growth shape
+// for the algorithm (up to constant factors): BEB n·lg n, LB
+// n·lg n/lg lg n, LLB n·lg lg n/lg lg lg n, STB n.
+func PredictedCWSlots(algo string, n float64) (float64, error) {
+	switch algo {
+	case "BEB":
+		return n * lg(n), nil
+	case "LB":
+		return n * lg(n) / lg(lg(n)), nil
+	case "LLB":
+		return n * lg(lg(n)) / lg(lg(lg(n))), nil
+	case "STB":
+		return n, nil
+	default:
+		return 0, fmt.Errorf("core: no CW-slot prediction for %q", algo)
+	}
+}
+
+// PredictedCollisions returns the Table III disjoint-collision growth shape
+// C_A: BEB n, LB n·lg n/lg lg n, LLB n·lg lg n/lg lg lg n, STB n.
+func PredictedCollisions(algo string, n float64) (float64, error) {
+	switch algo {
+	case "BEB", "STB":
+		return n, nil
+	case "LB":
+		return n * lg(n) / lg(lg(n)), nil
+	case "LLB":
+		return n * lg(lg(n)) / lg(lg(lg(n))), nil
+	default:
+		return 0, fmt.Errorf("core: no collision prediction for %q", algo)
+	}
+}
+
+// ShapeRatios divides measured values by the predicted growth shape at each
+// n; a bounded, roughly flat ratio series supports the Θ-form.
+func ShapeRatios(algo string, ns []int, measured []float64,
+	predict func(string, float64) (float64, error)) ([]float64, error) {
+	if len(ns) != len(measured) {
+		return nil, fmt.Errorf("core: %d sizes vs %d measurements", len(ns), len(measured))
+	}
+	out := make([]float64, len(ns))
+	for i, n := range ns {
+		pred, err := predict(algo, float64(n))
+		if err != nil {
+			return nil, err
+		}
+		if pred <= 0 {
+			return nil, fmt.Errorf("core: non-positive prediction for %s at n=%d", algo, n)
+		}
+		out[i] = measured[i] / pred
+	}
+	return out, nil
+}
+
+// RatioSpread returns max/min of a positive series: the flatness statistic
+// for ShapeRatios.
+func RatioSpread(rs []float64) float64 {
+	if len(rs) == 0 {
+		return math.NaN()
+	}
+	lo, hi := rs[0], rs[0]
+	for _, r := range rs[1:] {
+		lo = math.Min(lo, r)
+		hi = math.Max(hi, r)
+	}
+	if lo <= 0 {
+		return math.Inf(1)
+	}
+	return hi / lo
+}
 
 func TestModelFromConfig(t *testing.T) {
 	cfg := mac.DefaultConfig()
@@ -126,34 +212,6 @@ func TestPredictionUnknownAlgo(t *testing.T) {
 	if _, err := PredictedCollisions("NOPE", 100); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if _, err := PredictedTotalTime("NOPE", 100, 1); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-}
-
-func TestCrossoverLLBvsBEB(t *testing.T) {
-	// Result 5: for large enough P, LLB's total exceeds BEB's. The model
-	// must produce a positive finite crossover P, beyond which LLB loses.
-	p, ok := CrossoverP("LLB", "BEB", 1e6)
-	if !ok || p <= 0 {
-		t.Fatalf("no crossover for LLB vs BEB: p=%v ok=%v", p, ok)
-	}
-	tLLB, _ := PredictedTotalTime("LLB", 1e6, 2*p)
-	tBEB, _ := PredictedTotalTime("BEB", 1e6, 2*p)
-	if tLLB <= tBEB {
-		t.Fatalf("beyond crossover LLB %v should exceed BEB %v", tLLB, tBEB)
-	}
-	tLLBs, _ := PredictedTotalTime("LLB", 1e6, p/2)
-	tBEBs, _ := PredictedTotalTime("BEB", 1e6, p/2)
-	if tLLBs >= tBEBs {
-		t.Fatalf("below crossover LLB %v should beat BEB %v", tLLBs, tBEBs)
-	}
-}
-
-func TestCrossoverSameShapeRejected(t *testing.T) {
-	if _, ok := CrossoverP("BEB", "STB", 1e6); ok {
-		t.Fatal("BEB vs STB have equal collision shapes; no crossover expected")
-	}
 }
 
 // TestTableIIGrowthShapes validates Table II empirically: measured CW slots
@@ -165,7 +223,8 @@ func TestTableIIGrowthShapes(t *testing.T) {
 	}
 	ns := []int{512, 2048, 8192, 32768}
 	const trials = 7
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		name := f().Name()
 		med := make([]float64, len(ns))
 		for i, n := range ns {
@@ -253,25 +312,6 @@ func medianF(xs []float64) float64 {
 		}
 	}
 	return s[len(s)/2]
-}
-
-func TestCollisionCostRatio(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	// 64B payload: 40 µs frame + 75 µs timeout over 9 µs slots.
-	got := CollisionCostRatio(cfg)
-	if math.Abs(got-115.0/9.0) > 1e-9 {
-		t.Fatalf("cost ratio = %v, want %v", got, 115.0/9.0)
-	}
-	// A2 would need the ratio near 1; the default is an order of magnitude
-	// off — the paper's thesis in one number.
-	if got < 5 {
-		t.Fatalf("cost ratio %v too close to the abstract model's 1", got)
-	}
-	// Larger payloads only worsen it.
-	cfg.PayloadBytes = 1024
-	if CollisionCostRatio(cfg) <= got {
-		t.Fatal("1024B cost ratio not above 64B")
-	}
 }
 
 func TestShapeRatiosValidation(t *testing.T) {

@@ -11,16 +11,16 @@
 //
 // The kernel is the allocation floor of every simulation, so it recycles
 // aggressively: fired and cancelled events return to a scheduler-owned
-// free list, and the hot scheduling path (ScheduleArg) takes a plain
-// function plus an untyped payload pointer instead of a closure, so a
-// steady-state run schedules millions of events with zero per-event heap
-// allocations. The price is an ownership rule: an *Event returned by the
-// Schedule functions is valid only until the event fires or is cancelled
-// — after either, the scheduler may recycle the object for an unrelated
-// event, so callers must drop (nil out) their reference at that moment
-// and never Cancel through a stale pointer. All in-tree callers clear
-// their timer fields on fire/cancel; see the package tests for the
-// recycling contract.
+// free list, and the one scheduling entry point (ScheduleArg) takes a
+// handler plus an untyped payload, so hot sites pass a plain function and
+// a pointer instead of a closure and a steady-state run schedules millions
+// of events with zero per-event heap allocations. The price is an
+// ownership rule: an *Event returned by ScheduleArg is valid only until
+// the event fires or is cancelled — after either, the scheduler may
+// recycle the object for an unrelated event, so callers must drop (nil
+// out) their reference at that moment and never Cancel through a stale
+// pointer. All in-tree callers clear their timer fields on fire/cancel;
+// see the package tests for the recycling contract.
 package event
 
 import (
@@ -31,14 +31,12 @@ import (
 // Time is simulated time since the start of the run.
 type Time = time.Duration
 
-// Handler is a callback invoked when an event fires. now is the event's
-// scheduled time (which equals the simulator clock at invocation).
-type Handler func(now Time)
-
-// ArgHandler is a callback with an attached payload, for hot call sites
-// that would otherwise allocate a fresh closure per event: pass a
-// package-level function and the state it needs (typically a pointer, so
-// the any boxing does not allocate either).
+// ArgHandler is the callback invoked when an event fires: now is the
+// event's scheduled time (which equals the simulator clock at
+// invocation) and arg the payload it was scheduled with. Hot call sites
+// pass a package-level function and the state it needs (typically a
+// pointer, so the any boxing does not allocate either) rather than a
+// fresh closure per event.
 type ArgHandler func(now Time, arg any)
 
 // Event is a scheduled callback. It is owned by the Scheduler; callers
@@ -46,19 +44,17 @@ type ArgHandler func(now Time, arg any)
 // the object may be recycled for a different event — the moment the event
 // fires or is cancelled.
 type Event struct {
-	at      Time
-	seq     uint64
-	index   int // heap index, -1 once removed
-	fn      Handler
-	afn     ArgHandler
-	arg     any
-	comment string
+	at    Time
+	seq   uint64
+	index int // heap index, -1 once removed
+	fn    ArgHandler
+	arg   any
 }
 
 // Time returns the time the event is scheduled to fire.
 func (e *Event) Time() Time { return e.at }
 
-// Arg returns the payload attached by ScheduleArg (nil otherwise).
+// Arg returns the payload attached by ScheduleArg.
 func (e *Event) Arg() any { return e.arg }
 
 // Scheduler is a discrete-event scheduler. The zero value is ready to use.
@@ -102,49 +98,26 @@ func (s *Scheduler) Stats() Stats {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Fired returns the number of events executed so far (cancelled events are
-// not counted).
-func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events currently scheduled. Cancellation
-// removes an event from the queue immediately, so the count is exact —
-// there are no cancelled-but-undrained entries.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // PendingEvents exposes the scheduler's internal queue in heap (not
 // firing) order, for callers that need to inspect what is armed — e.g.
-// the MAC's idle-slot fast-forward. The slice and the events it holds are
-// owned by the scheduler: treat both as read-only, and do not retain them
-// past the next scheduler operation.
+// the MAC's idle-slot fast-forward. Cancellation removes an event from
+// the queue immediately, so its length is the exact number of armed
+// events. The slice and the events it holds are owned by the scheduler:
+// treat both as read-only, and do not retain them past the next
+// scheduler operation.
 func (s *Scheduler) PendingEvents() []*Event { return s.queue }
 
-// Schedule schedules fn to run delay after the current time. A negative
-// delay panics: the kernel refuses to travel backwards.
-func (s *Scheduler) Schedule(delay time.Duration, fn Handler) *Event {
-	return s.ScheduleNamed("", delay, fn)
-}
-
-// ScheduleNamed is Schedule with a debugging comment attached to the event.
-func (s *Scheduler) ScheduleNamed(comment string, delay time.Duration, fn Handler) *Event {
-	if fn == nil {
-		panic("event: nil handler")
-	}
-	e := s.alloc(comment, delay)
-	e.fn = fn
-	s.push(e)
-	return e
-}
-
 // ScheduleArg schedules fn(now, arg) to run delay after the current time.
-// It is the allocation-free counterpart of ScheduleNamed: fn is typically
-// a package-level function and arg a long-lived pointer, so neither the
-// handler nor the payload escapes per event.
-func (s *Scheduler) ScheduleArg(comment string, delay time.Duration, fn ArgHandler, arg any) *Event {
+// fn is typically a package-level function and arg a long-lived pointer,
+// so neither the handler nor the payload escapes per event. label names
+// the event in the panic a negative delay raises: the kernel refuses to
+// travel backwards.
+func (s *Scheduler) ScheduleArg(label string, delay time.Duration, fn ArgHandler, arg any) *Event {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	e := s.alloc(comment, delay)
-	e.afn = fn
+	e := s.alloc(label, delay)
+	e.fn = fn
 	e.arg = arg
 	s.push(e)
 	return e
@@ -152,9 +125,9 @@ func (s *Scheduler) ScheduleArg(comment string, delay time.Duration, fn ArgHandl
 
 // alloc takes an event from the free list (or the heap allocator on a
 // cold start) and stamps its time and sequence number.
-func (s *Scheduler) alloc(comment string, delay time.Duration) *Event {
+func (s *Scheduler) alloc(label string, delay time.Duration) *Event {
 	if delay < 0 {
-		panic(fmt.Sprintf("event: negative delay %v at t=%v (%s)", delay, s.now, comment))
+		panic(fmt.Sprintf("event: negative delay %v at t=%v (%s)", delay, s.now, label))
 	}
 	var e *Event
 	if n := len(s.free); n > 0 {
@@ -167,18 +140,15 @@ func (s *Scheduler) alloc(comment string, delay time.Duration) *Event {
 	}
 	e.at = s.now + delay
 	e.seq = s.seq
-	e.comment = comment
 	s.seq++
 	return e
 }
 
-// release clears an event's handler, payload, and comment — dropping every
+// release clears an event's handler and payload — dropping every
 // reference it pinned — and returns it to the free list for reuse.
 func (s *Scheduler) release(e *Event) {
 	e.fn = nil
-	e.afn = nil
 	e.arg = nil
-	e.comment = ""
 	e.index = -1
 	s.free = append(s.free, e)
 }
@@ -218,11 +188,7 @@ func (s *Scheduler) Step() bool {
 	}
 	s.now = e.at
 	s.fired++
-	if e.afn != nil {
-		e.afn(s.now, e.arg)
-	} else {
-		e.fn(s.now)
-	}
+	e.fn(s.now, e.arg)
 	s.release(e)
 	return true
 }
@@ -270,19 +236,13 @@ func (s *Scheduler) DeferAll(delta time.Duration) {
 	}
 }
 
-// MaxQueueLen returns the high-water mark of the event queue, useful for
-// performance diagnostics and for sizing the queue implementation (see
-// DESIGN.md "Event kernel performance model": queue depth tracks the
-// station count, which picked the four-ary heap over a calendar queue).
-func (s *Scheduler) MaxQueueLen() int { return s.maxLen }
-
 // eventHeap is a hand-rolled four-ary min-heap ordered by (time, insertion
 // sequence): a stable priority queue. Hand-rolling (vs container/heap)
 // removes the interface dispatch on every sift; four children per node
 // halve the tree depth, which benchmarks at parity with a binary heap at
 // small depths and ~5-10% faster at the 10^5 depths the large-population
-// target needs — queue depth tracks the station count (MaxQueueLen), one
-// armed timer per station (see BenchmarkHeapKernel4ary vs
+// target needs — queue depth (Stats().MaxQueueLen) tracks the station
+// count, one armed timer per station (see BenchmarkHeapKernel4ary vs
 // BenchmarkHeapKernelBinary). A calendar queue was rejected: its bucket
 // rotation needs resize heuristics that would make firing order depend on
 // tuning parameters, and the heap is already off the profile once events

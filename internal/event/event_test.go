@@ -8,12 +8,18 @@ import (
 	"repro/internal/rng"
 )
 
+// schedule arms fn through ScheduleArg with no payload, for tests that
+// only care when things fire.
+func schedule(s *Scheduler, delay time.Duration, fn func(Time)) *Event {
+	return s.ScheduleArg("", delay, func(now Time, _ any) { fn(now) }, nil)
+}
+
 func TestFiresInTimeOrder(t *testing.T) {
 	var s Scheduler
 	var got []time.Duration
 	for _, d := range []time.Duration{30, 10, 20, 10, 40} {
 		d := d
-		s.Schedule(d, func(now Time) { got = append(got, now) })
+		schedule(&s, d, func(now Time) { got = append(got, now) })
 	}
 	s.Run(0)
 	want := []time.Duration{10, 10, 20, 30, 40}
@@ -29,7 +35,7 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(5, func(Time) { order = append(order, i) })
+		schedule(&s, 5, func(Time) { order = append(order, i) })
 	}
 	s.Run(0)
 	for i, v := range order {
@@ -42,21 +48,21 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	var s Scheduler
 	fired := false
-	e := s.Schedule(10, func(Time) { fired = true })
+	e := schedule(&s, 10, func(Time) { fired = true })
 	s.Cancel(e)
 	s.Run(0)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if s.Fired() != 0 {
-		t.Fatalf("Fired() = %d, want 0", s.Fired())
+	if f := s.Stats().Fired; f != 0 {
+		t.Fatalf("Stats().Fired = %d, want 0", f)
 	}
 }
 
 func TestCancelNilAndDouble(t *testing.T) {
 	var s Scheduler
 	s.Cancel(nil) // must not panic
-	e := s.Schedule(1, func(Time) {})
+	e := schedule(&s, 1, func(Time) {})
 	s.Cancel(e)
 	s.Cancel(e) // double cancel must not panic
 	s.Run(0)
@@ -64,7 +70,7 @@ func TestCancelNilAndDouble(t *testing.T) {
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	var s Scheduler
-	e := s.Schedule(1, func(Time) {})
+	e := schedule(&s, 1, func(Time) {})
 	s.Run(0)
 	s.Cancel(e) // must not panic
 }
@@ -72,9 +78,9 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestScheduleFromHandler(t *testing.T) {
 	var s Scheduler
 	var times []time.Duration
-	s.Schedule(10, func(now Time) {
+	schedule(&s, 10, func(now Time) {
 		times = append(times, now)
-		s.Schedule(5, func(now2 Time) { times = append(times, now2) })
+		schedule(&s, 5, func(now2 Time) { times = append(times, now2) })
 	})
 	s.Run(0)
 	if len(times) != 2 || times[0] != 10 || times[1] != 15 {
@@ -84,8 +90,8 @@ func TestScheduleFromHandler(t *testing.T) {
 
 func TestZeroDelayFiresAtNow(t *testing.T) {
 	var s Scheduler
-	s.Schedule(10, func(now Time) {
-		s.Schedule(0, func(now2 Time) {
+	schedule(&s, 10, func(now Time) {
+		schedule(&s, 0, func(now2 Time) {
 			if now2 != now {
 				t.Errorf("zero-delay event at %v, want %v", now2, now)
 			}
@@ -101,7 +107,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	var s Scheduler
-	s.Schedule(-1, func(Time) {})
+	schedule(&s, -1, func(Time) {})
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -111,7 +117,7 @@ func TestNilHandlerPanics(t *testing.T) {
 		}
 	}()
 	var s Scheduler
-	s.Schedule(1, nil)
+	s.ScheduleArg("", 1, nil, nil)
 }
 
 func TestRunLimit(t *testing.T) {
@@ -120,9 +126,9 @@ func TestRunLimit(t *testing.T) {
 	var reschedule func(Time)
 	reschedule = func(Time) {
 		count++
-		s.Schedule(1, reschedule)
+		schedule(&s, 1, reschedule)
 	}
-	s.Schedule(1, reschedule)
+	schedule(&s, 1, reschedule)
 	fired, drained := s.Run(100)
 	if drained {
 		t.Fatal("self-perpetuating schedule reported drained")
@@ -136,7 +142,7 @@ func TestRunUntil(t *testing.T) {
 	var s Scheduler
 	var fired []time.Duration
 	for _, d := range []time.Duration{5, 10, 15, 20} {
-		s.Schedule(d, func(now Time) { fired = append(fired, now) })
+		schedule(&s, d, func(now Time) { fired = append(fired, now) })
 	}
 	n := s.RunUntil(12)
 	if n != 2 {
@@ -158,20 +164,20 @@ func TestClockMonotonic(t *testing.T) {
 		var s Scheduler
 		last := Time(-1)
 		ok := true
-		var spawn func(depth int) Handler
-		spawn = func(depth int) Handler {
+		var spawn func(depth int) func(Time)
+		spawn = func(depth int) func(Time) {
 			return func(now Time) {
 				if now < last {
 					ok = false
 				}
 				last = now
 				if depth > 0 {
-					s.Schedule(time.Duration(g.Intn(50)), spawn(depth-1))
+					schedule(&s, time.Duration(g.Intn(50)), spawn(depth-1))
 				}
 			}
 		}
 		for i := 0; i < 20; i++ {
-			s.Schedule(time.Duration(g.Intn(100)), spawn(3))
+			schedule(&s, time.Duration(g.Intn(100)), spawn(3))
 		}
 		s.Run(0)
 		return ok
@@ -184,24 +190,24 @@ func TestClockMonotonic(t *testing.T) {
 func TestPendingAndMaxQueueLen(t *testing.T) {
 	var s Scheduler
 	for i := 0; i < 7; i++ {
-		s.Schedule(time.Duration(i), func(Time) {})
+		schedule(&s, time.Duration(i), func(Time) {})
 	}
-	if s.Pending() != 7 {
-		t.Fatalf("Pending = %d", s.Pending())
+	if n := len(s.PendingEvents()); n != 7 {
+		t.Fatalf("pending = %d", n)
 	}
 	s.Run(0)
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after drain = %d", s.Pending())
+	if n := len(s.PendingEvents()); n != 0 {
+		t.Fatalf("pending after drain = %d", n)
 	}
-	if s.MaxQueueLen() != 7 {
-		t.Fatalf("MaxQueueLen = %d", s.MaxQueueLen())
+	if m := s.Stats().MaxQueueLen; m != 7 {
+		t.Fatalf("MaxQueueLen = %d", m)
 	}
 }
 
 func BenchmarkScheduleAndFire(b *testing.B) {
 	var s Scheduler
 	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%64), func(Time) {})
+		s.ScheduleArg("", time.Duration(i%64), func(Time, any) {}, nil)
 		s.Step()
 	}
 }

@@ -16,48 +16,48 @@ import (
 )
 
 // TestFireRecyclesEvent pins the free-list contract: after an event fires,
-// the scheduler owns its object again — the next Schedule reuses it and no
+// the scheduler owns its object again — the next ScheduleArg reuses it and no
 // handler or payload reference survives on it.
 func TestFireRecyclesEvent(t *testing.T) {
 	var s Scheduler
-	e1 := s.Schedule(1, func(Time) {})
+	e1 := schedule(&s, 1, func(Time) {})
 	s.Run(0)
-	if e1.fn != nil || e1.afn != nil || e1.arg != nil || e1.comment != "" {
+	if e1.fn != nil || e1.arg != nil {
 		t.Fatalf("fired event still pins handler state: %+v", e1)
 	}
-	e2 := s.Schedule(1, func(Time) {})
+	e2 := schedule(&s, 1, func(Time) {})
 	if e1 != e2 {
-		t.Fatal("second Schedule after a fire did not reuse the recycled event")
+		t.Fatal("second ScheduleArg after a fire did not reuse the recycled event")
 	}
 }
 
 // TestCancelIsEagerAndDropsHandler pins the Cancel bugfix: cancellation
-// removes the event from the queue immediately (Pending is exact) and nils
+// removes the event from the queue immediately (PendingEvents is exact) and nils
 // the handler, so whatever the closure captured becomes collectable right
 // away instead of being pinned until a lazy drain.
 func TestCancelIsEagerAndDropsHandler(t *testing.T) {
 	var s Scheduler
 	payload := make([]byte, 1<<20)
-	e := s.Schedule(10, func(Time) { _ = payload[0] })
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d before cancel", s.Pending())
+	e := schedule(&s, 10, func(Time) { _ = payload[0] })
+	if n := len(s.PendingEvents()); n != 1 {
+		t.Fatalf("pending = %d before cancel", n)
 	}
 	s.Cancel(e)
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancel, want 0 (eager removal)", s.Pending())
+	if n := len(s.PendingEvents()); n != 0 {
+		t.Fatalf("pending = %d after cancel, want 0 (eager removal)", n)
 	}
-	if e.fn != nil || e.afn != nil || e.arg != nil {
+	if e.fn != nil || e.arg != nil {
 		t.Fatal("cancelled event still references its handler/payload")
 	}
-	// The cancelled object is back on the free list: the next Schedule
+	// The cancelled object is back on the free list: the next ScheduleArg
 	// reuses it, and the run fires only that one.
 	fired := 0
-	if e2 := s.Schedule(1, func(Time) { fired++ }); e2 != e {
+	if e2 := schedule(&s, 1, func(Time) { fired++ }); e2 != e {
 		t.Fatal("cancelled event was not recycled")
 	}
 	s.Run(0)
-	if fired != 1 || s.Fired() != 1 {
-		t.Fatalf("fired=%d Fired()=%d, want 1/1", fired, s.Fired())
+	if fired != 1 || s.Stats().Fired != 1 {
+		t.Fatalf("fired=%d Stats().Fired=%d, want 1/1", fired, s.Stats().Fired)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestDeferAllNegativePanics(t *testing.T) {
 		}
 	}()
 	var s Scheduler
-	s.Schedule(1, func(Time) {})
+	schedule(&s, 1, func(Time) {})
 	s.DeferAll(-1)
 }
 
@@ -165,7 +165,7 @@ func TestHeapDifferential(t *testing.T) {
 			case k < 6: // schedule
 				r := &ref{at: s.Now() + time.Duration(g.Intn(50)), id: nextID}
 				nextID++
-				r.own = s.Schedule(r.at-s.Now(), fire(r))
+				r.own = schedule(&s, r.at-s.Now(), fire(r))
 				armed = append(armed, r)
 			case k < 8 && len(armed) > 0: // cancel a random armed event
 				i := g.Intn(len(armed))

@@ -90,7 +90,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 		level := r / bok.K
 		roundInLevel := r % bok.K
 		start := time.Duration(r) * bok.RoundDuration
-		m.sched.ScheduleNamed("probeRound", start, func(now event.Time) {
+		m.sched.ScheduleArg("probeRound", start, func(event.Time, any) {
 			sentCount := 0
 			for i, p := range probes {
 				p.sent = false
@@ -111,7 +111,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 			// Score the round at its end: the grid guarantees every station
 			// hears every probe (see phy.TestGridNoCapture), so a
 			// non-sending station senses "clear" iff nobody sent.
-			m.sched.ScheduleNamed("probeScore", bok.RoundDuration-time.Microsecond, func(event.Time) {
+			m.sched.ScheduleArg("probeScore", bok.RoundDuration-time.Microsecond, func(event.Time, any) {
 				for _, p := range probes {
 					if p.done {
 						continue
@@ -132,18 +132,18 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 						p.clear = 0
 					}
 				}
-			})
-		})
+			}, nil)
+		}, nil)
 	}
 
 	// ---- Phase 2: fixed backoff with the adopted windows ------------------
-	m.sched.ScheduleNamed("contentionStart", bok.PhaseDuration(), func(event.Time) {
+	m.sched.ScheduleArg("contentionStart", bok.PhaseDuration(), func(event.Time, any) {
 		for i, st := range m.sts {
 			out.Estimates[i] = probes[i].w
 			st.attach(backoff.NewFixed(probes[i].w))
 			st.begin()
 		}
-	})
+	}, nil)
 
 	out.Result = m.collect(m.drain())
 	return out

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,31 +105,18 @@ func TestZeroLossSeedDerivesFromStream(t *testing.T) {
 
 func TestTimeToFinishQuantiles(t *testing.T) {
 	res := RunBatch(DefaultConfig(), 21, backoff.NewBEB, rng.New(6), nil)
-	if res.TimeToFinish(1) <= 0 {
+	var ts []time.Duration
+	for _, st := range res.Stations {
+		ts = append(ts, st.FinishTime)
+	}
+	slices.Sort(ts)
+	if ts[0] <= 0 {
 		t.Fatal("first finish not positive")
 	}
-	if res.TimeToFinish(21) != res.TotalTime {
-		t.Fatalf("last finish %v != total %v", res.TimeToFinish(21), res.TotalTime)
+	if ts[20] != res.TotalTime {
+		t.Fatalf("last finish %v != total %v", ts[20], res.TotalTime)
 	}
-	if res.TimeToFinish(11) != res.HalfTime {
-		t.Fatalf("median finish %v != half time %v", res.TimeToFinish(11), res.HalfTime)
+	if ts[10] != res.HalfTime {
+		t.Fatalf("median finish %v != half time %v", ts[10], res.HalfTime)
 	}
-	prev := time.Duration(0)
-	for k := 1; k <= 21; k++ {
-		if ft := res.TimeToFinish(k); ft < prev {
-			t.Fatalf("TimeToFinish not monotone at k=%d", k)
-		} else {
-			prev = ft
-		}
-	}
-}
-
-func TestTimeToFinishPanics(t *testing.T) {
-	res := RunBatch(DefaultConfig(), 3, backoff.NewBEB, rng.New(7), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range k did not panic")
-		}
-	}()
-	res.TimeToFinish(4)
 }

@@ -72,7 +72,8 @@ func TestSingleStationExactTiming(t *testing.T) {
 
 func TestInvariantsAcrossAlgorithmsAndSizes(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		for _, n := range []int{1, 2, 3, 10, 40} {
 			res := run(t, cfg, n, f, uint64(n)*7+3)
 			checkRunInvariants(t, res, cfg)
@@ -202,7 +203,8 @@ func TestHeadlineReversal(t *testing.T) {
 	cfg := DefaultConfig()
 	const n, trials = 100, 11
 	med := map[string]struct{ slots, total float64 }{}
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		name := f().Name()
 		slots := make([]float64, trials)
 		totals := make([]float64, trials)
@@ -247,8 +249,8 @@ func TestFinishTimesMatchHalfTime(t *testing.T) {
 	cfg := DefaultConfig()
 	res := run(t, cfg, 21, backoff.NewBEB, 11)
 	count := 0
-	for _, ft := range res.FinishTimes() {
-		if ft <= res.HalfTime {
+	for _, st := range res.Stations {
+		if st.FinishTime <= res.HalfTime {
 			count++
 		}
 	}

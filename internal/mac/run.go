@@ -72,27 +72,6 @@ type KernelStats struct {
 	TxQuarantined   int    // Tx objects poisoned under CheckTxReuse
 }
 
-// FinishTimes returns every station's finish time.
-func (r Result) FinishTimes() []time.Duration {
-	out := make([]time.Duration, len(r.Stations))
-	for i, s := range r.Stations {
-		out[i] = s.FinishTime
-	}
-	return out
-}
-
-// TimeToFinish returns the time at which the k-th packet completed
-// (1 <= k <= N) — the k-selection metric generalizing the paper's n/2
-// plots. It panics on out-of-range k.
-func (r Result) TimeToFinish(k int) time.Duration {
-	if k < 1 || k > len(r.Stations) {
-		panic(fmt.Sprintf("mac: TimeToFinish(%d) with %d stations", k, len(r.Stations)))
-	}
-	ts := r.FinishTimes()
-	slices.Sort(ts)
-	return ts[k-1]
-}
-
 // sim owns one simulation run.
 type sim struct {
 	cfg    Config

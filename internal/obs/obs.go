@@ -67,9 +67,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add shifts the gauge by delta (CAS loop; safe for concurrent adders).
 func (g *Gauge) Add(delta float64) {
 	for {
@@ -154,15 +151,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	return h.uppers[len(h.uppers)-1]
-}
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
 }
 
 // ExpBuckets returns n upper bounds start, start*factor, start*factor², ...

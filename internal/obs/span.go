@@ -24,9 +24,6 @@ func Int64(key string, value int64) Attr { return Attr{Key: key, Value: value} }
 // Bool returns a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
 
-// Float64 returns a float attribute.
-func Float64(key string, value float64) Attr { return Attr{Key: key, Value: value} }
-
 // Span is one completed unit of work with a wall-clock start and
 // duration. Spans are values, not handles: build one, fill it, emit it.
 // Because they carry wall-clock time they are banned inside the six
@@ -37,14 +34,6 @@ type Span struct {
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"dur_ns"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
-}
-
-// End sets Duration from the span's Start to now.
-func (s *Span) End() { s.Duration = time.Since(s.Start) }
-
-// StartSpan returns a span with Start set to now.
-func StartSpan(name string, attrs ...Attr) Span {
-	return Span{Name: name, Start: time.Now(), Attrs: attrs}
 }
 
 // SpanSink receives completed spans. Implementations must be safe for
@@ -61,8 +50,8 @@ func (NopSink) EmitSpan(Span) {}
 
 // JSONLSink writes one JSON object per span, newline-delimited, to an
 // io.Writer. It is safe for concurrent use. The first write or encode
-// error is retained (and later writes skipped) — check Err after the run,
-// and Close the sink if the writer is also an io.Closer.
+// error is retained (and later writes skipped); Close returns it, after
+// closing the writer if that is an io.Closer.
 type JSONLSink struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -88,13 +77,6 @@ func (s *JSONLSink) EmitSpan(sp Span) {
 		DurNs: sp.Duration.Nanoseconds(),
 		Attrs: sp.Attrs,
 	})
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Close closes the underlying writer when it is an io.Closer and returns

@@ -21,8 +21,8 @@ func TestJSONLSink(t *testing.T) {
 	}
 	sink.EmitSpan(sp)
 	sink.EmitSpan(Span{Name: "empty", Start: time.Unix(200, 0)})
-	if err := sink.Err(); err != nil {
-		t.Fatalf("Err() = %v", err)
+	if err := sink.Close(); err != nil {
+		t.Fatalf("Close() = %v", err)
 	}
 
 	sc := bufio.NewScanner(&buf)
@@ -65,14 +65,11 @@ func TestJSONLSinkRetainsFirstError(t *testing.T) {
 	sink := NewJSONL(w)
 	sink.EmitSpan(Span{Name: "a"})
 	sink.EmitSpan(Span{Name: "b"})
-	if err := sink.Err(); err == nil {
-		t.Fatal("expected error")
+	if err := sink.Close(); err == nil {
+		t.Fatal("Close should return the retained error")
 	}
 	if w.n != 1 {
 		t.Errorf("writer called %d times after first error, want 1", w.n)
-	}
-	if err := sink.Close(); err == nil {
-		t.Error("Close should return the retained error")
 	}
 }
 
@@ -85,13 +82,13 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sink.EmitSpan(StartSpan("s", Int64("i", int64(i))))
+				sink.EmitSpan(Span{Name: "s", Start: time.Unix(int64(i), 0), Attrs: []Attr{Int64("i", int64(i))}})
 			}
 		}()
 	}
 	wg.Wait()
-	if err := sink.Err(); err != nil {
-		t.Fatalf("Err() = %v", err)
+	if err := sink.Close(); err != nil {
+		t.Fatalf("Close() = %v", err)
 	}
 	sc := bufio.NewScanner(&buf)
 	n := 0
@@ -104,16 +101,4 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 	if n != 800 {
 		t.Errorf("got %d lines, want 800", n)
 	}
-}
-
-func TestStartSpanEnd(t *testing.T) {
-	sp := StartSpan("x", String("a", "b"))
-	if sp.Name != "x" || len(sp.Attrs) != 1 || sp.Start.IsZero() {
-		t.Fatalf("StartSpan = %+v", sp)
-	}
-	sp.End()
-	if sp.Duration < 0 {
-		t.Errorf("Duration = %v", sp.Duration)
-	}
-	NopSink{}.EmitSpan(sp) // must not panic
 }

@@ -72,7 +72,7 @@ func TestAbortLateOverlapTruncatesFromOverlapStart(t *testing.T) {
 	tx0.Retain()
 	defer tx0.Release()
 	var tx1 *Tx
-	sched.Schedule(50*time.Microsecond, func(event.Time) {
+	schedule(sched, 50*time.Microsecond, func(event.Time) {
 		tx1 = m.Transmit(n1, Rate54Mbps, 128, Payload{Src: 1})
 		tx1.Retain()
 	})

@@ -21,8 +21,7 @@ type Listener interface {
 	// ok reports whether the frame decoded at this node: received power
 	// above the noise-limited threshold and SINR at or above the rate's
 	// minimum for the frame's entire duration. The tx handle is valid only
-	// until the callback returns (see the Tx lifetime contract); call
-	// tx.Retain to hold it longer.
+	// until the callback returns (see the Tx lifetime contract).
 	FrameEnd(tx *Tx, ok bool, now event.Time)
 	// TxDone fires on the transmitting node when its own transmission ends,
 	// at the frame's natural end or earlier if it was aborted (see
@@ -87,13 +86,14 @@ type Payload struct {
 // A Tx is owned by its Medium: Transmit draws it from a pool and the medium
 // recycles it after the transmission's final listener callback (the last
 // FrameEnd / TxDone for that frame) returns and every overlapping
-// transmission that reads it has itself ended. Holding the handle past that
-// point — in a test, a tracer, any long-lived structure — requires
-// Retain(), and each Retain must be paired with a Release() that lets the
-// object return to the pool. Using a handle after its release panics on
-// every method when the object is still in the pool; Medium.CheckTxReuse
-// makes the panic deterministic (released objects are quarantined, never
-// reused) at the cost of one allocation per transmission.
+// transmission that reads it has itself ended. No code outside this package
+// holds a handle past that point; the package's tests that do take a
+// reference with their Retain helper and drop it with Release, which lets
+// the object return to the pool. Using a handle after its release panics
+// on every method when the object is still in the pool;
+// Medium.CheckTxReuse makes the panic deterministic (released objects are
+// quarantined, never reused) at the cost of one allocation per
+// transmission.
 type Tx struct {
 	Src     *Node
 	Rate    Rate
@@ -103,7 +103,7 @@ type Tx struct {
 	Payload Payload // typed MAC frame content
 
 	m           *Medium
-	refs        int  // medium's own ref + one per overlapping Tx + user Retains
+	refs        int  // medium's own ref + one per overlapping Tx + test Retains
 	released    bool // true while the object sits in the pool (or quarantine)
 	activeIdx   int  // index in m.active while on the air, -1 otherwise
 	interferers []*Tx
@@ -111,15 +111,10 @@ type Tx struct {
 	aborted     bool
 }
 
-// Retain adds a reference so the handle stays valid — the object will not be
-// recycled for another transmission — until a matching Release.
-func (t *Tx) Retain() {
-	t.checkLive("Retain")
-	t.refs++
-}
-
-// Release drops a reference taken by Retain. When the last reference drops
-// the object returns to the medium's pool and the handle becomes invalid.
+// Release drops a reference: the medium's own, an overlapping
+// transmission's, or one a test took with Retain. When the last reference
+// drops the object returns to the medium's pool and the handle becomes
+// invalid.
 func (t *Tx) Release() {
 	t.checkLive("Release")
 	t.refs--
@@ -131,13 +126,13 @@ func (t *Tx) Release() {
 	}
 }
 
-// checkLive panics when the handle outlived its transmission without a
-// Retain. It catches stale handles while the object is pooled; under
-// Medium.CheckTxReuse released objects are never reused, so every
-// use-after-release is caught.
+// checkLive panics when the handle outlived its transmission. It catches
+// stale handles while the object is pooled; under Medium.CheckTxReuse
+// released objects are never reused, so every use-after-release is
+// caught.
 func (t *Tx) checkLive(op string) {
 	if t.released {
-		panic(fmt.Sprintf("phy: Tx.%s on a released Tx (Retain the handle to use it past FrameEnd/TxDone)", op))
+		panic(fmt.Sprintf("phy: Tx.%s on a released Tx (a handle is valid only until FrameEnd/TxDone returns)", op))
 	}
 }
 
@@ -168,9 +163,6 @@ type Node struct {
 // Busy reports whether the node currently senses energy above the
 // carrier-sense threshold from some other node's transmission.
 func (n *Node) Busy() bool { return n.busyCount > 0 }
-
-// Sending reports whether the node itself is currently transmitting.
-func (n *Node) Sending() bool { return n.sending }
 
 // Medium is the shared wireless channel: it tracks concurrent transmissions,
 // drives carrier-sense notifications, and decides frame reception by SINR.
@@ -273,9 +265,6 @@ func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
 	return m
 }
 
-// Config returns the radio configuration.
-func (m *Medium) Config() Config { return m.cfg }
-
 // AddNode attaches a radio at pos with the given listener and returns it.
 // All nodes must be added before the first transmission.
 func (m *Medium) AddNode(pos Position, l Listener) *Node {
@@ -289,9 +278,6 @@ func (m *Medium) AddNode(pos Position, l Listener) *Node {
 // SetListener replaces the listener of a node (used when MAC entities are
 // constructed after their radios).
 func (m *Medium) SetListener(n *Node, l Listener) { n.listener = l }
-
-// Nodes returns the attached nodes.
-func (m *Medium) Nodes() []*Node { return m.nodes }
 
 // buildGains fills the received-power matrix and the per-source audible
 // sets. Positions and config are immutable once transmissions start, so
@@ -349,11 +335,6 @@ func (m *Medium) audibleFrom(src *Node) []*Node {
 	return m.aud[src.ID]
 }
 
-// RxPower returns the received power at dst for a transmission from src.
-func (m *Medium) RxPower(src, dst *Node) DBm {
-	return DBmFromMilliWatt(m.rxPowerMw(src, dst))
-}
-
 // allocTx draws a recycled Tx from the pool (or the heap allocator on a
 // cold start). The recycled object keeps its interferers capacity, so the
 // mutual-interference bookkeeping in Transmit does not reallocate either.
@@ -394,8 +375,8 @@ func (m *Medium) recycleTx(t *Tx) {
 // Transmit puts a frame of length bytes at the given rate on the air from
 // src, starting now. The returned Tx ends automatically; listeners get
 // FrameEnd callbacks then. The handle is medium-owned (see the Tx lifetime
-// contract) — Retain it to use it past the frame's callbacks. A node cannot
-// transmit twice concurrently.
+// contract) and valid only until the frame's callbacks return. A node
+// cannot transmit twice concurrently.
 func (m *Medium) Transmit(src *Node, rate Rate, bytes int, p Payload) *Tx {
 	if src.sending {
 		panic(fmt.Sprintf("phy: node %d already transmitting at t=%v", src.ID, m.sched.Now()))
@@ -511,7 +492,7 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	// All callbacks for this frame have returned: drop the references this
 	// transmission held on its interferers, then the medium's own. The
 	// object recycles now unless a still-active overlapping transmission
-	// or a Retain'd handle keeps it alive.
+	// or a test's Retain keeps it alive.
 	for _, itx := range tx.interferers {
 		itx.Release()
 	}

@@ -26,21 +26,20 @@ const (
 // (b) no contending station can capture over another (the worst-case
 // received-power spread inside the grid is < 8 dB). See package comment.
 type ofdmRate struct {
-	name     string
-	bitsPerS float64 // megabits per second, informational
-	ndbps    int     // data bits per OFDM symbol
-	minSINR  DB      // decoding threshold
+	name    string
+	ndbps   int // data bits per OFDM symbol
+	minSINR DB  // decoding threshold
 }
 
 var ofdmRates = [...]ofdmRate{
-	Rate6Mbps:  {"6Mbps", 6, 24, 4},
-	Rate9Mbps:  {"9Mbps", 9, 36, 5},
-	Rate12Mbps: {"12Mbps", 12, 48, 7},
-	Rate18Mbps: {"18Mbps", 18, 72, 9},
-	Rate24Mbps: {"24Mbps", 24, 96, 12},
-	Rate36Mbps: {"36Mbps", 36, 144, 15},
-	Rate48Mbps: {"48Mbps", 48, 192, 17},
-	Rate54Mbps: {"54Mbps", 54, 216, 18},
+	Rate6Mbps:  {"6Mbps", 24, 4},
+	Rate9Mbps:  {"9Mbps", 36, 5},
+	Rate12Mbps: {"12Mbps", 48, 7},
+	Rate18Mbps: {"18Mbps", 72, 9},
+	Rate24Mbps: {"24Mbps", 96, 12},
+	Rate36Mbps: {"36Mbps", 144, 15},
+	Rate48Mbps: {"48Mbps", 192, 17},
+	Rate54Mbps: {"54Mbps", 216, 18},
 }
 
 // String returns the conventional name of the rate, e.g. "54Mbps".
@@ -48,10 +47,6 @@ func (r Rate) String() string { return ofdmRates[r].name }
 
 // NDBPS returns the number of data bits carried per 4 µs OFDM symbol.
 func (r Rate) NDBPS() int { return ofdmRates[r].ndbps }
-
-// MinSINR returns the SINR threshold (dB) required to decode a frame sent at
-// this rate.
-func (r Rate) MinSINR() DB { return ofdmRates[r].minSINR }
 
 // sinrRatios precomputes each rate's linear decoding threshold. The
 // reception decision runs once per (frame, receiver) — the simulator's
@@ -64,12 +59,9 @@ var sinrRatios = func() (out [len(ofdmRates)]float64) {
 	return out
 }()
 
-// MinSINRRatio returns MinSINR as a precomputed linear power ratio,
-// bit-identical to MinSINR().Ratio().
+// MinSINRRatio returns the SINR threshold required to decode a frame sent
+// at this rate, as a precomputed linear power ratio.
 func (r Rate) MinSINRRatio() float64 { return sinrRatios[r] }
-
-// Mbps returns the nominal data rate in megabits per second.
-func (r Rate) Mbps() float64 { return ofdmRates[r].bitsPerS }
 
 // OFDM timing constants for 802.11g (ERP-OFDM, long preamble option used by
 // the paper: a 20 µs preamble, Table I).

@@ -39,9 +39,3 @@ type FixedLoss DB
 
 // Loss implements PathLossModel.
 func (f FixedLoss) Loss(float64) DB { return DB(f) }
-
-// RxPower returns the received power for a transmit power tx over a link of
-// the given distance under model m.
-func RxPower(tx DBm, m PathLossModel, distance float64) DBm {
-	return tx - DBm(m.Loss(distance))
-}

@@ -9,10 +9,15 @@ import (
 	"repro/internal/event"
 )
 
+// schedule arms fn on sched with no payload.
+func schedule(sched *event.Scheduler, delay time.Duration, fn func(event.Time)) {
+	sched.ScheduleArg("", delay, func(now event.Time, _ any) { fn(now) }, nil)
+}
+
 func TestDBmRoundTrip(t *testing.T) {
 	for _, p := range []DBm{-94, -62, 0, 16.0206, 30} {
 		mw := p.MilliWatt()
-		back := DBmFromMilliWatt(mw)
+		back := DBm(10 * math.Log10(mw))
 		if math.Abs(float64(back-p)) > 1e-9 {
 			t.Errorf("round trip %v -> %v", p, back)
 		}
@@ -20,8 +25,8 @@ func TestDBmRoundTrip(t *testing.T) {
 }
 
 func TestDBmZeroPower(t *testing.T) {
-	if !math.IsInf(float64(DBmFromMilliWatt(0)), -1) {
-		t.Fatal("0 mW should be -Inf dBm")
+	if mw := DBm(math.Inf(-1)).MilliWatt(); mw != 0 {
+		t.Fatalf("-Inf dBm = %v mW, want 0", mw)
 	}
 }
 
@@ -136,18 +141,19 @@ func TestGridNoCapture(t *testing.T) {
 	ps := StationGrid(150)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, p := range ps {
-		rx := float64(RxPower(cfg.TxPower, cfg.PathLoss, p.DistanceTo(ap)))
+		rx := float64(cfg.TxPower) - float64(cfg.PathLoss.Loss(p.DistanceTo(ap)))
 		lo = math.Min(lo, rx)
 		hi = math.Max(hi, rx)
 	}
 	spread := hi - lo
-	if spread >= float64(Rate54Mbps.MinSINR()) {
-		t.Fatalf("power spread %.1f dB >= capture threshold %v dB; paper's no-capture regime violated", spread, Rate54Mbps.MinSINR())
+	minSINR := float64(ofdmRates[Rate54Mbps].minSINR)
+	if spread >= minSINR {
+		t.Fatalf("power spread %.1f dB >= capture threshold %v dB; paper's no-capture regime violated", spread, minSINR)
 	}
 	// And every clean frame decodes: SNR at the farthest station must clear
 	// the threshold.
 	snr := lo - float64(cfg.NoiseFloor)
-	if snr < float64(Rate54Mbps.MinSINR()) {
+	if snr < minSINR {
 		t.Fatalf("clean-channel SNR %.1f dB below 54 Mbps threshold", snr)
 	}
 }
@@ -221,7 +227,7 @@ func TestPartialOverlapCollides(t *testing.T) {
 		sts = append(sts, m.AddNode(p, &testListener{}))
 	}
 	m.Transmit(sts[0], Rate54Mbps, 1088, Payload{Src: 0})
-	sched.Schedule(10*time.Microsecond, func(event.Time) {
+	schedule(sched, 10*time.Microsecond, func(event.Time) {
 		m.Transmit(sts[1], Rate54Mbps, 128, Payload{Src: 1})
 	})
 	sched.Run(0)
@@ -241,7 +247,7 @@ func TestSequentialFramesBothDecode(t *testing.T) {
 		sts = append(sts, m.AddNode(p, &testListener{}))
 	}
 	m.Transmit(sts[0], Rate54Mbps, 128, Payload{Src: 0})
-	sched.Schedule(FrameDuration(Rate54Mbps, 128), func(event.Time) {
+	schedule(sched, FrameDuration(Rate54Mbps, 128), func(event.Time) {
 		m.Transmit(sts[1], Rate54Mbps, 128, Payload{Src: 1})
 	})
 	sched.Run(0)
@@ -280,7 +286,7 @@ func TestCarrierSenseTracksOverlap(t *testing.T) {
 	}
 	// Two overlapping frames: the observer should see one busy period.
 	m.Transmit(sts[0], Rate54Mbps, 1088, Payload{Src: 0})
-	sched.Schedule(5*time.Microsecond, func(event.Time) {
+	schedule(sched, 5*time.Microsecond, func(event.Time) {
 		m.Transmit(sts[1], Rate54Mbps, 128, Payload{Src: 1})
 	})
 	sched.Run(0)
@@ -378,7 +384,7 @@ func TestRxPowerSymmetric(t *testing.T) {
 	m := NewMedium(sched, DefaultConfig())
 	a := m.AddNode(Position{0, 0}, &testListener{})
 	b := m.AddNode(Position{17, 3}, &testListener{})
-	if pab, pba := m.RxPower(a, b), m.RxPower(b, a); pab != pba {
+	if pab, pba := m.rxPowerMw(a, b), m.rxPowerMw(b, a); pab != pba {
 		t.Fatalf("asymmetric link: %v vs %v", pab, pba)
 	}
 }

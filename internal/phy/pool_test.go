@@ -6,6 +6,14 @@ import (
 	"repro/internal/event"
 )
 
+// Retain adds a reference so the handle stays valid — the object will not
+// be recycled for another transmission — until a matching Release. Only
+// tests hold a Tx past its callbacks.
+func (t *Tx) Retain() {
+	t.checkLive("Retain")
+	t.refs++
+}
+
 // nopListener discards every callback: the allocation tests below must not
 // have test bookkeeping (testListener's frames append) in the measured path.
 type nopListener struct{}

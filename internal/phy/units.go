@@ -24,29 +24,12 @@ func (p DBm) MilliWatt() float64 {
 	return math.Pow(10, float64(p)/10)
 }
 
-// DBmFromMilliWatt converts linear milliwatts to dBm.
-// Zero or negative power maps to -Inf dBm.
-func DBmFromMilliWatt(mw float64) DBm {
-	if mw <= 0 {
-		return DBm(math.Inf(-1))
-	}
-	return DBm(10 * math.Log10(mw))
-}
-
 // DB is a dimensionless ratio in decibels.
 type DB float64
 
 // Ratio converts a dB value to a linear power ratio.
 func (d DB) Ratio() float64 {
 	return math.Pow(10, float64(d)/10)
-}
-
-// DBFromRatio converts a linear ratio to decibels.
-func DBFromRatio(r float64) DB {
-	if r <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(r))
 }
 
 // Position is a point on the simulation plane, in metres.

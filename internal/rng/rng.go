@@ -142,11 +142,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit integer, mirroring math/rand.Source.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (r *Source) Intn(n int) int {
@@ -162,22 +157,6 @@ func (r *Source) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	bound := uint64(n)
-	hi, lo := bits.Mul64(r.Uint64(), bound)
-	if lo < bound {
-		thresh := -bound % bound
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), bound)
-		}
-	}
-	return int64(hi)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -196,19 +175,6 @@ func (r *Source) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Source) ExpFloat64() float64 {
 	for {
@@ -216,25 +182,5 @@ func (r *Source) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

@@ -226,64 +226,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(10)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(12)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: sum %d != %d", got, sum)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(13)
-	const trials = 200000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance %v", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(14)
 	const trials = 200000
@@ -293,25 +235,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / trials; math.Abs(mean-1) > 0.02 {
 		t.Fatalf("exponential mean %v", mean)
-	}
-}
-
-func TestInt63nRange(t *testing.T) {
-	r := New(15)
-	for i := 0; i < 10000; i++ {
-		v := r.Int63n(1 << 40)
-		if v < 0 || v >= 1<<40 {
-			t.Fatalf("Int63n out of range: %d", v)
-		}
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(16)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
 	}
 }
 

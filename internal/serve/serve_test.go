@@ -527,6 +527,15 @@ func TestRequestValidation(t *testing.T) {
 	if resp, body := post("/v1/run", `{"scenario":{"model":"abstract","algorithm":"FIXED:1","n":2},"seed":1}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "never resolves") {
 		t.Fatalf("unresolvable batch: HTTP %d %s", resp.StatusCode, body)
 	}
+	// A payload past the 802.11 maximum MSDU → 400, and the server lives
+	// on: 2^55 bytes used to overflow the frame-duration arithmetic and
+	// panic in a sweep worker, killing the process.
+	if resp, body := post("/v1/run", `{"scenario":{"model":"wifi","algorithm":"BEB","n":2,"payload":36028797018963968},"seed":1}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "payload") {
+		t.Fatalf("oversized payload: HTTP %d %s", resp.StatusCode, body)
+	}
+	if resp, body := post("/v1/run", `{"scenario":{"model":"wifi","algorithm":"BEB","n":2,"payload":1024},"seed":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("good run after the oversized payload: HTTP %d %s", resp.StatusCode, body)
+	}
 	// Grid over MaxCells → 413.
 	if resp, _ := post("/v1/sweep", `{"scenarios":[{"model":"abstract","algorithm":"BEB","n":8}],"seeds":[1,2,3,4,5]}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized grid: HTTP %d", resp.StatusCode)
@@ -661,7 +670,7 @@ func TestPprofAndSpans(t *testing.T) {
 			t.Fatalf("sweep: HTTP %d %s", resp.StatusCode, body)
 		}
 	}
-	if err := sink.Err(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatalf("span sink error: %v", err)
 	}
 	var sim, replay int

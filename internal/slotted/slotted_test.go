@@ -76,7 +76,8 @@ func checkInvariants(t *testing.T, res Result, n int) {
 
 func TestRunBatchInvariantsAllAlgorithms(t *testing.T) {
 	g := rng.New(1)
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		for _, n := range []int{1, 2, 3, 10, 50, 150} {
 			res := runBatch(t, n, f, g.Derive(f().Name()))
 			checkInvariants(t, res, n)
@@ -86,7 +87,8 @@ func TestRunBatchInvariantsAllAlgorithms(t *testing.T) {
 
 func TestRunBatchUnalignedInvariants(t *testing.T) {
 	g := rng.New(2)
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		for _, n := range []int{1, 2, 10, 80} {
 			res := runUnaligned(t, n, f, g.Derive(f().Name()))
 			checkInvariants(t, res, n)
@@ -146,7 +148,8 @@ func TestSlotAccounting(t *testing.T) {
 	// Within the makespan: empty + singleton + collision slots <= CWSlots,
 	// and the gap is exactly 0 given EmptySlots is computed as remainder.
 	g := rng.New(6)
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		res := runBatch(t, 60, f, g.Derive(f().Name()))
 		total := res.EmptySlots + res.SingletonSlots + res.Collisions
 		if total != res.CWSlots {
@@ -162,7 +165,8 @@ func TestExpectedOrderingCWSlots(t *testing.T) {
 	const n, trials = 150, 31
 	g := rng.New(7)
 	med := map[string]int{}
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		name := f().Name()
 		vals := make([]int, trials)
 		for tr := 0; tr < trials; tr++ {
@@ -188,7 +192,8 @@ func TestExpectedOrderingCollisions(t *testing.T) {
 	const n, trials = 150, 31
 	g := rng.New(8)
 	med := map[string]int{}
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		name := f().Name()
 		vals := make([]int, trials)
 		for tr := 0; tr < trials; tr++ {
@@ -236,7 +241,8 @@ func TestUnalignedStillFinishesEveryone(t *testing.T) {
 // shares: one entry per packet, in finishing order.
 func TestFinishSlotsAscending(t *testing.T) {
 	g := rng.New(12)
-	for _, f := range backoff.PaperAlgorithms() {
+	for _, spec := range backoff.PaperAlgorithmNames() {
+		f, _ := backoff.Registered(spec)
 		name := f().Name()
 		for _, res := range []Result{
 			runBatch(t, 200, f, g.Derive("aligned"+name)),

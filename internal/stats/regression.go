@@ -92,14 +92,6 @@ func studentTSF(t, df float64) float64 {
 	return 0.5 * RegIncBeta(df/2, 0.5, x)
 }
 
-// StudentTCDF returns P(T <= t) for the Student t distribution.
-func StudentTCDF(t, df float64) float64 {
-	if t >= 0 {
-		return 1 - studentTSF(t, df)
-	}
-	return studentTSF(-t, df)
-}
-
 // RegIncBeta computes the regularized incomplete beta function I_x(a, b) for
 // a, b > 0 and 0 <= x <= 1, using the continued-fraction expansion from
 // Numerical Recipes (Lentz's algorithm).
@@ -168,9 +160,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// NormalCDF returns the standard normal CDF via math.Erf.
-func NormalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }

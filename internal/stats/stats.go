@@ -65,28 +65,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Median returns the sample median, or NaN for an empty sample.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, 0.5)
-}
-
-// Mean returns the arithmetic mean, or NaN for an empty sample.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R default).
 func Quantile(xs []float64, q float64) float64 {
@@ -192,25 +170,3 @@ func PercentChange(a, b float64) float64 {
 
 // ErrShortSample is returned by procedures that need more data points.
 var ErrShortSample = errors.New("stats: sample too small")
-
-// BootstrapMedianCI estimates a confidence interval for the median by
-// percentile bootstrap with the given number of resamples. next must return
-// uniform float64 in [0,1); pass a deterministic generator for reproducible
-// intervals.
-func BootstrapMedianCI(xs []float64, conf float64, resamples int, next func() float64) (lo, hi float64, err error) {
-	if len(xs) < 2 {
-		return 0, 0, ErrShortSample
-	}
-	meds := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for i := 0; i < resamples; i++ {
-		for j := range buf {
-			buf[j] = xs[int(next()*float64(len(xs)))]
-		}
-		sort.Float64s(buf)
-		meds[i] = quantileSorted(buf, 0.5)
-	}
-	sort.Float64s(meds)
-	alpha := (1 - conf) / 2
-	return quantileSorted(meds, alpha), quantileSorted(meds, 1-alpha), nil
-}

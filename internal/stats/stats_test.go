@@ -16,22 +16,35 @@ func approx(t *testing.T, got, want, tol float64, what string) {
 	}
 }
 
+// normFloat64 returns a standard normal variate drawn from g by the polar
+// (Marsaglia) method.
+func normFloat64(g *rng.Source) float64 {
+	for {
+		u := 2*g.Float64() - 1
+		v := 2*g.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
+	}
+}
+
 func TestMedianOdd(t *testing.T) {
-	approx(t, Median([]float64{3, 1, 2}), 2, 0, "median odd")
+	approx(t, Quantile([]float64{3, 1, 2}, 0.5), 2, 0, "median odd")
 }
 
 func TestMedianEven(t *testing.T) {
-	approx(t, Median([]float64{4, 1, 3, 2}), 2.5, 1e-12, "median even")
+	approx(t, Quantile([]float64{4, 1, 3, 2}, 0.5), 2.5, 1e-12, "median even")
 }
 
 func TestMedianEmpty(t *testing.T) {
-	if !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Fatal("median of empty sample should be NaN")
 	}
 }
 
 func TestMeanSimple(t *testing.T) {
-	approx(t, Mean([]float64{1, 2, 3, 4}), 2.5, 1e-12, "mean")
+	approx(t, Summarize([]float64{1, 2, 3, 4}).Mean, 2.5, 1e-12, "mean")
 }
 
 func TestQuantileEndpoints(t *testing.T) {
@@ -64,7 +77,7 @@ func TestSummarizeMedianWithinMinMax(t *testing.T) {
 		g := r.Derive(string(rune(seed)))
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = g.NormFloat64() * 100
+			xs[i] = normFloat64(g) * 100
 		}
 		s := Summarize(xs)
 		return s.Median >= s.Min && s.Median <= s.Max &&
@@ -85,7 +98,7 @@ func TestMedianCICoversTrueMedian(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		xs := make([]float64, 31)
 		for i := range xs {
-			xs[i] = r.NormFloat64()
+			xs[i] = normFloat64(r)
 		}
 		s := Summarize(xs)
 		if s.MedianLo <= 0 && 0 <= s.MedianHi {
@@ -125,9 +138,9 @@ func TestFilterOutliersNeverRemovesMedian(t *testing.T) {
 		n := int(nRaw%40) + 4
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = r.NormFloat64() * 50
+			xs[i] = normFloat64(r) * 50
 		}
-		med := Median(xs)
+		med := Quantile(xs, 0.5)
 		kept, _ := FilterOutliers(xs)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range kept {
@@ -186,7 +199,7 @@ func TestLinearFitNoisyLineSignificant(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		xi := float64(i)
 		x = append(x, xi)
-		y = append(y, 7*xi+50+r.NormFloat64()*20)
+		y = append(y, 7*xi+50+normFloat64(r)*20)
 	}
 	reg, err := LinearFit(x, y)
 	if err != nil {
@@ -203,7 +216,7 @@ func TestLinearFitPureNoiseInsignificant(t *testing.T) {
 	var x, y []float64
 	for i := 0; i < 60; i++ {
 		x = append(x, float64(i))
-		y = append(y, r.NormFloat64())
+		y = append(y, normFloat64(r))
 	}
 	reg, err := LinearFit(x, y)
 	if err != nil {
@@ -255,51 +268,24 @@ func TestRegIncBetaMonotonic(t *testing.T) {
 	}
 }
 
+// The t distribution is symmetric about 0: its two tails, P(T > x) each,
+// and the central mass P(|T| < x) = I_{x²/(df+x²)}(1/2, df/2) sum to 1.
+// studentTSF and the central mass reach RegIncBeta from opposite ends.
 func TestStudentTCDFSymmetry(t *testing.T) {
 	for _, df := range []float64{1, 5, 29} {
 		for _, x := range []float64{0, 0.5, 1.3, 2.8} {
-			l := StudentTCDF(-x, df)
-			r := StudentTCDF(x, df)
-			approx(t, l+r, 1, 1e-10, "t CDF symmetry")
+			tail := studentTSF(x, df)
+			central := RegIncBeta(0.5, df/2, x*x/(df+x*x))
+			approx(t, 2*tail+central, 1, 1e-10, "t CDF symmetry")
 		}
 	}
 }
 
 func TestStudentTCDFKnownQuantiles(t *testing.T) {
-	// t_{0.975, 10} = 2.2281; CDF(2.2281, 10) ~ 0.975.
-	approx(t, StudentTCDF(2.2281, 10), 0.975, 5e-4, "t quantile df=10")
-	// Large df approaches normal: CDF(1.96, 1000) ~ 0.975.
-	approx(t, StudentTCDF(1.96, 1000), 0.975, 2e-3, "t ~ normal for large df")
-}
-
-func TestNormalCDF(t *testing.T) {
-	approx(t, NormalCDF(0), 0.5, 1e-12, "Phi(0)")
-	approx(t, NormalCDF(1.959964), 0.975, 1e-5, "Phi(1.96)")
-	approx(t, NormalCDF(-1.959964), 0.025, 1e-5, "Phi(-1.96)")
-}
-
-func TestBootstrapMedianCI(t *testing.T) {
-	r := rng.New(31)
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = 50 + r.NormFloat64()*5
-	}
-	lo, hi, err := BootstrapMedianCI(xs, 0.95, 2000, r.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 50 || hi < 50 {
-		t.Fatalf("bootstrap CI [%v, %v] misses true median 50", lo, hi)
-	}
-	if hi-lo > 5 {
-		t.Fatalf("bootstrap CI [%v, %v] implausibly wide", lo, hi)
-	}
-}
-
-func TestBootstrapMedianCIShort(t *testing.T) {
-	if _, _, err := BootstrapMedianCI([]float64{1}, 0.95, 100, func() float64 { return 0 }); err == nil {
-		t.Fatal("expected ErrShortSample")
-	}
+	// t_{0.975, 10} = 2.2281; P(T > 2.2281) ~ 0.025 at df = 10.
+	approx(t, studentTSF(2.2281, 10), 0.025, 5e-4, "t quantile df=10")
+	// Large df approaches normal: P(T > 1.96) ~ 0.025 at df = 1000.
+	approx(t, studentTSF(1.96, 1000), 0.025, 2e-3, "t ~ normal for large df")
 }
 
 func TestQuantileSortedAgreesWithSortedInput(t *testing.T) {
@@ -388,7 +374,7 @@ func TestMedianCINestedByConfidence(t *testing.T) {
 	if lo99 > lo90 || hi99 < hi90 {
 		t.Fatalf("99%% CI [%v,%v] not containing 90%% CI [%v,%v]", lo99, hi99, lo90, hi90)
 	}
-	med := Median(s)
+	med := Quantile(s, 0.5)
 	if lo90 > med || hi90 < med {
 		t.Fatalf("CI [%v,%v] does not bracket median %v", lo90, hi90, med)
 	}

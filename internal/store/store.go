@@ -241,13 +241,6 @@ func (l *Log) Put(k Key, payload json.RawMessage) error {
 	return nil
 }
 
-// Len returns the number of live records.
-func (l *Log) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.index)
-}
-
 // Stats returns the log's current statistics.
 func (l *Log) Stats() Stats {
 	l.mu.RLock()
@@ -321,13 +314,6 @@ func (l *Log) Compact() error {
 	l.stale = 0
 	l.corrupt = 0
 	return nil
-}
-
-// Sync flushes the log to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Sync()
 }
 
 // Close syncs and closes the log. The Log is unusable afterwards.

@@ -58,8 +58,8 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.Len() != 10 {
-		t.Fatalf("reopened log has %d records, want 10", l2.Len())
+	if l2.Stats().Records != 10 {
+		t.Fatalf("reopened log has %d records, want 10", l2.Stats().Records)
 	}
 	got, ok, err := l2.Get(Key{"fp", 3})
 	if err != nil || !ok || !bytes.Equal(got, payload("3")) {
@@ -120,8 +120,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Len() != 2 {
-		t.Fatalf("recovered %d records, want 2", l2.Len())
+	if l2.Stats().Records != 2 {
+		t.Fatalf("recovered %d records, want 2", l2.Stats().Records)
 	}
 	if st := l2.Stats(); st.Corrupt != 0 {
 		t.Fatalf("a torn tail is not corruption; stats %+v", st)
@@ -137,8 +137,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l3.Close()
-	if l3.Len() != 3 {
-		t.Fatalf("after repair+append got %d records, want 3", l3.Len())
+	if l3.Stats().Records != 3 {
+		t.Fatalf("after repair+append got %d records, want 3", l3.Stats().Records)
 	}
 	if got, ok, _ := l3.Get(Key{"fp", 3}); !ok || !bytes.Equal(got, payload("c")) {
 		t.Fatalf("record written after repair lost: %s ok=%v", got, ok)
@@ -170,8 +170,8 @@ func TestCorruptInteriorLineSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.Len() != 2 {
-		t.Fatalf("recovered %d records, want 2 (good lines on both sides of the bad one)", l2.Len())
+	if l2.Stats().Records != 2 {
+		t.Fatalf("recovered %d records, want 2 (good lines on both sides of the bad one)", l2.Stats().Records)
 	}
 	if st := l2.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats %+v, want 1 corrupt line", st)
@@ -215,8 +215,8 @@ func TestCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.Len() != 2 {
-		t.Fatalf("compacted file reopened with %d records, want 2", l2.Len())
+	if l2.Stats().Records != 2 {
+		t.Fatalf("compacted file reopened with %d records, want 2", l2.Stats().Records)
 	}
 }
 
@@ -242,8 +242,8 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if l.Len() != writers*perWriter {
-		t.Fatalf("got %d records, want %d", l.Len(), writers*perWriter)
+	if l.Stats().Records != writers*perWriter {
+		t.Fatalf("got %d records, want %d", l.Stats().Records, writers*perWriter)
 	}
 	l.Close()
 	// Every concurrently-written line must replay.

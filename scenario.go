@@ -188,6 +188,11 @@ func (s Scenario) algorithmRequired() bool {
 	return true
 }
 
+// maxPayloadBytes is the 802.11 maximum MSDU. A larger payload is not a
+// frame the standard can send, and far larger ones overflow the
+// frame-duration arithmetic.
+const maxPayloadBytes = 2304
+
 // Validate checks the scenario without running it. Engine.Run validates
 // automatically; Validate is for building grids up front.
 func (s Scenario) Validate() error {
@@ -196,6 +201,13 @@ func (s Scenario) Validate() error {
 	}
 	if s.N < 1 {
 		return fmt.Errorf("repro: n must be >= 1, got %d", s.N)
+	}
+	if s.Model.Name() == "wifi" {
+		// The materialized config, so a WithConfig tweak is checked too.
+		// The abstract models ignore the payload.
+		if p := materializeMACConfig(s.workload(), buildOptions(s.Options)).PayloadBytes; p < 0 || p > maxPayloadBytes {
+			return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
+		}
 	}
 	if s.algorithmRequired() {
 		if _, err := s.Algorithm.factory(); err != nil {

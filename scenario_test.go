@@ -91,6 +91,10 @@ func TestScenarioValidate(t *testing.T) {
 		{"unaligned FIXED:1 n=3", Scenario{Model: AbstractUnaligned(), Algorithm: FixedWindow(1), N: 3}},
 		{"wifi FIXED:1 n=2", Scenario{Model: WiFi(), Algorithm: FixedWindow(1), N: 2}},
 		{"abstract FIXED:01 n=2", Scenario{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:01"), N: 2}},
+		{"wifi payload -1", valid.WithOptions(WithPayload(-1))},
+		{"wifi payload 2305", valid.WithOptions(WithPayload(2305))},
+		{"wifi payload 2^55", valid.WithOptions(WithPayload(1 << 55))},
+		{"wifi payload 2305 by config", valid.WithOptions(WithConfig(func(c *MACConfig) { c.PayloadBytes = 2305 }))},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -109,6 +113,9 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2, Options: []Option{cwMin16}},
 		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2,
 			Workload: ContinuousWorkload{Arrivals: Saturated(), Horizon: time.Millisecond}},
+		valid.WithOptions(WithPayload(2304)),
+		valid.WithOptions(WithPayload(0)),
+		{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 10, Options: []Option{WithPayload(1 << 55)}},
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v: Validate rejected: %v", s, err)
