@@ -7,7 +7,8 @@ package repro
 // summarized without buffering whole grids. Metric extracts a scalar per
 // Result, Aggregator folds cells scenario by scenario as they stream out of
 // Engine.Sweep, and Engine.Aggregate ties the two to the worker pool and
-// returns a Report (report.go renders it through pluggable sinks).
+// returns a Report, which cmd/figures renders as a Table and
+// internal/serve as the /v1/aggregate body.
 
 import (
 	"context"
@@ -169,6 +170,35 @@ func summarizePoint(vals []float64, keepOutliers bool) PointSummary {
 		Outliers: removed,
 		Trials:   s.N,
 	}
+}
+
+// Report holds one aggregated sweep: per-scenario rows of per-metric
+// summaries, with Metrics naming the columns in order.
+type Report struct {
+	// Metrics holds the metric names, in the column order every row's
+	// Summaries follows.
+	Metrics []string
+	// Rows holds one entry per scenario group, in sweep (input) order.
+	Rows []Row
+}
+
+// Row is one scenario's aggregate.
+type Row struct {
+	// Group is the scenario's index in the swept grid (or the caller's
+	// group key when the Aggregator was fed through Observe).
+	Group int
+	// Scenario is the swept scenario; the zero value when the aggregator
+	// was fed values without a grid.
+	Scenario Scenario
+	// Label is the scenario's identity string, e.g.
+	// "wifi/BEB/n=150/single-batch".
+	Label string
+	// Summaries holds one PointSummary per report metric, in column order.
+	Summaries []PointSummary
+	// Failed counts cells that errored instead of contributing a trial,
+	// and Err keeps the first such error.
+	Failed int
+	Err    error
 }
 
 // Aggregator folds a stream of sweep cells into per-scenario PointSummaries,

@@ -260,11 +260,11 @@ func benchRun(b *testing.B, s repro.Scenario) {
 }
 
 func BenchmarkWiFiBatchBEB100(b *testing.B) {
-	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 100})
+	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm("BEB"), N: 100})
 }
 
 func BenchmarkAbstractBatchBEB1000(b *testing.B) {
-	benchRun(b, repro.Scenario{Model: repro.Abstract(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 1000})
+	benchRun(b, repro.Scenario{Model: repro.Abstract(), Algorithm: repro.MustAlgorithm("BEB"), N: 1000})
 }
 
 func BenchmarkBestOfK100(b *testing.B) {
@@ -276,7 +276,7 @@ func BenchmarkTreeBatch1000(b *testing.B) {
 }
 
 func BenchmarkContinuousSaturated20(b *testing.B) {
-	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(repro.BEB), N: 20,
+	benchRun(b, repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm("BEB"), N: 20,
 		Workload: repro.ContinuousWorkload{Arrivals: repro.Saturated(), Horizon: 50 * time.Millisecond},
 		Options:  []repro.Option{repro.WithConfig(func(c *repro.MACConfig) { c.CWMin = 16 })}})
 }

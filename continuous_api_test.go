@@ -12,7 +12,7 @@ func continuous(n int, algo string, arrivals ArrivalSpec, horizon time.Duration,
 }
 
 func TestRunContinuousTrafficPoisson(t *testing.T) {
-	res := mustRun(t, continuous(8, BEB, Poisson(200), 100*time.Millisecond, WithSeed(1))).Traffic
+	res := mustRun(t, continuous(8, "BEB", Poisson(200), 100*time.Millisecond, WithSeed(1))).Traffic
 	if res.Offered == 0 || res.Delivered == 0 {
 		t.Fatalf("no traffic flowed: %+v", res)
 	}
@@ -25,7 +25,7 @@ func TestRunContinuousTrafficPoisson(t *testing.T) {
 }
 
 func TestRunContinuousTrafficSaturatedWithCWMin16(t *testing.T) {
-	res := mustRun(t, continuous(8, BEB, Saturated(), 100*time.Millisecond,
+	res := mustRun(t, continuous(8, "BEB", Saturated(), 100*time.Millisecond,
 		WithSeed(2), WithConfig(func(c *MACConfig) { c.CWMin = 16 }))).Traffic
 	if res.JainFairness < 0.5 {
 		t.Fatalf("fairness %v too low with CWmin=16", res.JainFairness)
@@ -36,7 +36,7 @@ func TestRunContinuousTrafficSaturatedWithCWMin16(t *testing.T) {
 }
 
 func TestRunContinuousTrafficBursty(t *testing.T) {
-	res := mustRun(t, continuous(10, LLB,
+	res := mustRun(t, continuous(10, "LLB",
 		BurstyPareto(1.5, 5*time.Millisecond, 6), 150*time.Millisecond, WithSeed(3))).Traffic
 	if res.Delivered == 0 {
 		t.Fatal("bursty run delivered nothing")
@@ -49,13 +49,13 @@ func TestRunContinuousTrafficBursty(t *testing.T) {
 func TestRunContinuousTrafficValidation(t *testing.T) {
 	var eng Engine
 	for name, s := range map[string]Scenario{
-		"n=0":                continuous(0, BEB, Saturated(), time.Millisecond),
-		"zero horizon":       continuous(5, BEB, Saturated(), 0),
+		"n=0":                continuous(0, "BEB", Saturated(), time.Millisecond),
+		"zero horizon":       continuous(5, "BEB", Saturated(), 0),
 		"unknown algorithm":  continuous(5, "WAT", Saturated(), time.Millisecond),
-		"negative rate":      continuous(5, BEB, Poisson(-1), time.Millisecond),
-		"zero interval":      continuous(5, BEB, Periodic(0), time.Millisecond),
-		"bad pareto":         continuous(5, BEB, BurstyPareto(0.5, 0, 0), time.Millisecond),
-		"empty arrival spec": continuous(5, BEB, ArrivalSpec{}, time.Millisecond),
+		"negative rate":      continuous(5, "BEB", Poisson(-1), time.Millisecond),
+		"zero interval":      continuous(5, "BEB", Periodic(0), time.Millisecond),
+		"bad pareto":         continuous(5, "BEB", BurstyPareto(0.5, 0, 0), time.Millisecond),
+		"empty arrival spec": continuous(5, "BEB", ArrivalSpec{}, time.Millisecond),
 	} {
 		if _, err := eng.Run(t.Context(), s); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -90,7 +90,7 @@ func TestRunTreeBatchAPI(t *testing.T) {
 
 func TestContinuousTrafficDeterministic(t *testing.T) {
 	run := func() TrafficResult {
-		return *mustRun(t, continuous(6, STB, Poisson(300), 80*time.Millisecond, WithSeed(7))).Traffic
+		return *mustRun(t, continuous(6, "STB", Poisson(300), 80*time.Millisecond, WithSeed(7))).Traffic
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same options diverged: %+v vs %+v", a, b)

@@ -277,13 +277,6 @@ type Engine struct {
 	Observer Observer
 }
 
-// WithStore returns a copy of the engine that serves grid cells through st;
-// a nil st detaches the store. The receiver is not modified.
-func (e Engine) WithStore(st *Store) *Engine {
-	e.Store = st
-	return &e
-}
-
 // Run validates and executes one scenario synchronously. It returns
 // ctx.Err() without running if the context is already cancelled; a started
 // simulation always runs to completion (cancellation is checked between

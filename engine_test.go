@@ -54,7 +54,7 @@ func TestEngineRunHonoursCancelledContext(t *testing.T) {
 // The run ends in ErrNoProgress rather than a panic or a hang.
 func TestEngineRunNoProgressIsAnError(t *testing.T) {
 	var eng Engine
-	_, err := eng.Run(t.Context(), Scenario{Model: Abstract(), Algorithm: FixedWindow(2), N: 64})
+	_, err := eng.Run(t.Context(), Scenario{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:2"), N: 64})
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("got %v, want ErrNoProgress", err)
 	}

@@ -1,15 +1,14 @@
-// Package estimate holds black-box checks of the BEST-OF-k size-estimation
-// phase (paper Section VI) as mac.RunBestOfK implements it. It has no
-// non-test code: the estimator lives in internal/mac, and these tests pin
-// the properties the paper claims for it from outside that package.
-package estimate
+package mac
+
+// Black-box checks of the BEST-OF-k size-estimation phase (paper Section
+// VI): the properties the paper claims for RunBestOfK's estimates, read
+// only through its Result.
 
 import (
 	"slices"
 	"testing"
 
 	"repro/internal/backoff"
-	"repro/internal/mac"
 	"repro/internal/rng"
 )
 
@@ -23,7 +22,7 @@ func TestEstimateOverestimates(t *testing.T) {
 	g := rng.New(1)
 	for _, n := range []int{10, 50} {
 		for _, k := range []int{3, 5} {
-			res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(k), n, g.Derive("e"), nil)
+			res := RunBestOfK(DefaultConfig(), DefaultBestOfK(k), n, g.Derive("e"), nil)
 			if med := medianInt(res.Estimates); med < n {
 				t.Errorf("n=%d k=%d: median estimate %d underestimates", n, k, med)
 			}
@@ -33,7 +32,7 @@ func TestEstimateOverestimates(t *testing.T) {
 
 func TestEstimateBoundedAbove(t *testing.T) {
 	// The estimate cannot exceed the level cap 2^10 = 1024.
-	res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(3), 150, rng.New(2), nil)
+	res := RunBestOfK(DefaultConfig(), DefaultBestOfK(3), 150, rng.New(2), nil)
 	for i, e := range res.Estimates {
 		if e > 1024 {
 			t.Fatalf("station %d estimate %d beyond cap", i, e)
@@ -45,7 +44,7 @@ func TestEstimateBoundedAbove(t *testing.T) {
 }
 
 func TestEstimatesArePowersOfTwo(t *testing.T) {
-	res := mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(5), 80, rng.New(3), nil)
+	res := RunBestOfK(DefaultConfig(), DefaultBestOfK(5), 80, rng.New(3), nil)
 	for i, e := range res.Estimates {
 		if e&(e-1) != 0 {
 			t.Fatalf("station %d estimate %d not a power of two", i, e)
@@ -57,8 +56,8 @@ func TestProbeSlotsFixed(t *testing.T) {
 	// The probing phase is Levels*K rounds whatever n is: 11*3 = 33 for
 	// best-of-3 and 55 for best-of-5.
 	for _, c := range []struct{ k, n, rounds int }{{3, 42, 33}, {5, 42, 55}, {3, 7, 33}} {
-		bok := mac.DefaultBestOfK(c.k)
-		res := mac.RunBestOfK(mac.DefaultConfig(), bok, c.n, rng.New(4), nil)
+		bok := DefaultBestOfK(c.k)
+		res := RunBestOfK(DefaultConfig(), bok, c.n, rng.New(4), nil)
 		if got := int(res.EstimationTime / bok.RoundDuration); got != c.rounds || res.EstimationTime%bok.RoundDuration != 0 {
 			t.Fatalf("k=%d n=%d: estimation phase %v is %d rounds of %v, want %d",
 				c.k, c.n, res.EstimationTime, got, bok.RoundDuration, c.rounds)
@@ -68,8 +67,8 @@ func TestProbeSlotsFixed(t *testing.T) {
 
 func TestRunCompletesWithFewCollisions(t *testing.T) {
 	const n = 100
-	cfg := mac.DefaultConfig()
-	res := mac.RunBestOfK(cfg, mac.DefaultBestOfK(5), n, rng.New(5), nil)
+	cfg := DefaultConfig()
+	res := RunBestOfK(cfg, DefaultBestOfK(5), n, rng.New(5), nil)
 	if len(res.Stations) != n {
 		t.Fatalf("%d station stats for %d stations", len(res.Stations), n)
 	}
@@ -80,16 +79,16 @@ func TestRunCompletesWithFewCollisions(t *testing.T) {
 	}
 	// Fixed backoff at W >= n: expected collisions per window are bounded;
 	// compare to BEB on the same batch size.
-	beb := mac.RunBatch(cfg, n, backoff.NewBEB, rng.New(5).Derive("beb"), nil)
+	beb := RunBatch(cfg, n, backoff.NewBEB, rng.New(5).Derive("beb"), nil)
 	if res.Collisions >= beb.Collisions {
 		t.Fatalf("best-of-5 collisions %d not below BEB %d", res.Collisions, beb.Collisions)
 	}
 }
 
 func TestEstimateDeterministic(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	a := mac.RunBestOfK(cfg, mac.DefaultBestOfK(3), 60, rng.New(6), nil)
-	b := mac.RunBestOfK(cfg, mac.DefaultBestOfK(3), 60, rng.New(6), nil)
+	cfg := DefaultConfig()
+	a := RunBestOfK(cfg, DefaultBestOfK(3), 60, rng.New(6), nil)
+	b := RunBestOfK(cfg, DefaultBestOfK(3), 60, rng.New(6), nil)
 	if !slices.Equal(a.Estimates, b.Estimates) {
 		t.Fatal("same seed diverged")
 	}
@@ -101,5 +100,5 @@ func TestEstimatePanics(t *testing.T) {
 			t.Fatal("n=0 did not panic")
 		}
 	}()
-	mac.RunBestOfK(mac.DefaultConfig(), mac.DefaultBestOfK(3), 0, rng.New(1), nil)
+	RunBestOfK(DefaultConfig(), DefaultBestOfK(3), 0, rng.New(1), nil)
 }

@@ -127,26 +127,31 @@ func TestPredictBadModel(t *testing.T) {
 }
 
 // TestModelMatchesSimulator cross-validates Bianchi's prediction against
-// the DCF simulator under saturated traffic. The model makes idealizations
-// (slot-homogeneous behaviour, no EIFS, independence of collisions), so the
-// comparison uses a generous band; what matters is that analysis and
-// simulation agree on the operating point's magnitude.
+// the DCF simulator under saturated traffic, over n ∈ {2, ..., 50} and
+// both paper payloads. The model makes idealizations (slot-homogeneous
+// behaviour, no EIFS, independence of collisions) that the simulator does
+// not, and the simulator delivers a little less: simulator/model ratios
+// on this grid are 0.87–0.98, never above 1. The band [0.80, 1.00] holds
+// them with margin and fails when either side drifts past the other.
 func TestModelMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator cross-validation")
 	}
-	cfg := stdConfig()
-	for _, n := range []int{5, 15} {
-		th, err := Predict(cfg, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := mac.RunContinuous(cfg, n, backoff.NewBEB, traffic.NewSaturated(),
-			300*time.Millisecond, rng.New(uint64(n)), nil)
-		ratio := res.ThroughputMbps / th.Mbps
-		if ratio < 0.5 || ratio > 2.0 {
-			t.Errorf("n=%d: simulator %.3f Mbps vs Bianchi %.3f Mbps (ratio %.2f)",
-				n, res.ThroughputMbps, th.Mbps, ratio)
+	for _, payload := range []int{64, 1024} {
+		cfg := stdConfig()
+		cfg.PayloadBytes = payload
+		for _, n := range []int{2, 5, 10, 15, 30, 50} {
+			th, err := Predict(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mac.RunContinuous(cfg, n, backoff.NewBEB, traffic.NewSaturated(),
+				300*time.Millisecond, rng.New(uint64(n)), nil)
+			ratio := res.ThroughputMbps / th.Mbps
+			if ratio < 0.80 || ratio > 1.00 {
+				t.Errorf("payload=%d n=%d: simulator %.3f Mbps vs Bianchi %.3f Mbps (ratio %.3f, want [0.80, 1.00])",
+					payload, n, res.ThroughputMbps, th.Mbps, ratio)
+			}
 		}
 	}
 }

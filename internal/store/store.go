@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -48,8 +47,7 @@ type span struct {
 type Stats struct {
 	// Records is the number of live (latest-per-key) records.
 	Records int
-	// Stale counts superseded records still occupying file space; Compact
-	// reclaims them.
+	// Stale counts superseded records still occupying file space.
 	Stale int
 	// Corrupt counts unparseable interior lines skipped at Open (a torn
 	// final line is truncated silently instead — it is the expected residue
@@ -60,11 +58,10 @@ type Stats struct {
 }
 
 // Log is an append-only JSONL record log with an in-memory index. It is
-// safe for concurrent readers and writers: the index, the file handle and
-// the file tail are guarded by one RWMutex, and records are immutable once
-// written. Get holds only the read lock — the index lookup and the pread
-// run concurrently with other Gets — while Put, Compact and Close take the
-// write lock, so no Get ever reads through a handle Compact has closed.
+// safe for concurrent readers and writers: the index and the file tail are
+// guarded by one RWMutex, and records are immutable once written. Get
+// holds only the read lock — the index lookup and the pread run
+// concurrently with other Gets — while Put and Close take the write lock.
 type Log struct {
 	path string
 
@@ -246,74 +243,6 @@ func (l *Log) Stats() Stats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return Stats{Records: len(l.index), Stale: l.stale, Corrupt: l.corrupt, Bytes: l.end}
-}
-
-// Compact rewrites the log keeping only the live record per key, in sorted
-// key order (so equal stores compact to byte-identical files), and swaps it
-// in atomically via rename. Stale and corrupt counts reset to zero. Every
-// step that can fail happens before the rename — the replacement file is
-// written, synced, and reopened for appending first — so a failed Compact
-// leaves the log exactly as it was. Unlike appends, Compact must not run
-// while another process has the same log open (their handle would keep the
-// unlinked pre-compaction file).
-func (l *Log) Compact() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-
-	keys := make([]Key, 0, len(l.index))
-	for k := range l.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Fingerprint != keys[j].Fingerprint {
-			return keys[i].Fingerprint < keys[j].Fingerprint
-		}
-		return keys[i].Seed < keys[j].Seed
-	})
-
-	tmpPath := l.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		_ = tmp.Close() // cleanup of an already-failed compaction
-		os.Remove(tmpPath)
-		return err
-	}
-	w := bufio.NewWriter(tmp)
-	newIndex := make(map[Key]span, len(keys))
-	var off int64
-	for _, k := range keys {
-		buf := make([]byte, l.index[k].len)
-		if _, err := l.f.ReadAt(buf, l.index[k].off); err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fail(err)
-		}
-		newIndex[k] = span{off: off, len: int64(len(buf))}
-		off += int64(len(buf))
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	// The rename is the commit point: tmp's handle survives it (same
-	// inode), so nothing after the rename can fail and strand writes.
-	if err := os.Rename(tmpPath, l.path); err != nil {
-		return fail(err)
-	}
-	// The replaced handle's close error cannot affect the committed data.
-	_ = l.f.Close()
-	l.f = tmp
-	l.index = newIndex
-	l.end = off
-	l.stale = 0
-	l.corrupt = 0
-	return nil
 }
 
 // Close syncs and closes the log. The Log is unusable afterwards.

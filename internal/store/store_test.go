@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func tempLog(t *testing.T) (*Log, string) {
@@ -181,45 +180,6 @@ func TestCorruptInteriorLineSkipped(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	l, path := tempLog(t)
-	for i := 0; i < 5; i++ { // rewrite the same 2 keys repeatedly
-		for seed := uint64(0); seed < 2; seed++ {
-			if err := l.Put(Key{"fp", seed}, payload(fmt.Sprintf("v%d-%d", i, seed))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := l.Stats()
-	if before.Stale != 8 {
-		t.Fatalf("stats %+v, want 8 stale", before)
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after := l.Stats()
-	if after.Records != 2 || after.Stale != 0 || after.Bytes >= before.Bytes {
-		t.Fatalf("after compact %+v (before %+v)", after, before)
-	}
-	for seed := uint64(0); seed < 2; seed++ {
-		got, ok, err := l.Get(Key{"fp", seed})
-		want := payload(fmt.Sprintf("v4-%d", seed))
-		if err != nil || !ok || !bytes.Equal(got, want) {
-			t.Fatalf("seed %d after compact: %s ok=%v err=%v", seed, got, ok, err)
-		}
-	}
-	// Compact output must itself reopen cleanly and stay appendable.
-	l.Close()
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Stats().Records != 2 {
-		t.Fatalf("compacted file reopened with %d records, want 2", l2.Stats().Records)
-	}
-}
-
 func TestConcurrentPutGet(t *testing.T) {
 	l, path := tempLog(t)
 	const writers, perWriter = 8, 50
@@ -357,15 +317,13 @@ func TestGetEscapedFingerprints(t *testing.T) {
 	}
 }
 
-// TestGetDuringPutAndCompact runs many readers against one writer per key
-// and a compactor, all on one Log (CI runs it under -race). Each writer
-// publishes the version it last Put; a Get must return a version no older
-// than the one published before it started and no newer than the next, and
-// must never fail — in particular never read through a handle Compact has
-// already closed.
-func TestGetDuringPutAndCompact(t *testing.T) {
+// TestGetDuringPut runs many readers against one writer per key, all on
+// one Log (CI runs it under -race). Each writer publishes the version it
+// last Put; a Get must return a version no older than the one published
+// before it started and no newer than the next, and must never fail.
+func TestGetDuringPut(t *testing.T) {
 	l, _ := tempLog(t)
-	const keys, versions, readers, compactions = 4, 30, 4, 5
+	const keys, versions, readers = 4, 30, 4
 	pad := bytes.Repeat([]byte("x"), 64)
 	body := func(k, v int) json.RawMessage {
 		return json.RawMessage(fmt.Sprintf(`{"k":%d,"v":%d,"pad":%q}`, k, v, pad))
@@ -378,9 +336,7 @@ func TestGetDuringPutAndCompact(t *testing.T) {
 		}
 	}
 
-	// Writers and the compactor are the finite work; readers run until
-	// both are done. Each Compact fsyncs under the write lock, so a few
-	// spaced compactions cover the overlap without stalling the writers.
+	// Writers are the finite work; readers run until they are done.
 	var work, readersWG sync.WaitGroup
 	done := make(chan struct{})
 	for k := 0; k < keys; k++ {
@@ -396,17 +352,6 @@ func TestGetDuringPutAndCompact(t *testing.T) {
 			}
 		}(k)
 	}
-	work.Add(1)
-	go func() {
-		defer work.Done()
-		for i := 0; i < compactions; i++ {
-			if err := l.Compact(); err != nil {
-				t.Error(err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	for r := 0; r < readers; r++ {
 		readersWG.Add(1)
 		go func(r int) {

@@ -34,17 +34,20 @@
 //
 //	// Or let the engine aggregate the grid the way the paper reports its
 //	// figures — per-scenario medians with 95% CIs after the IQR outlier
-//	// filter — and render the report through a sink (report.go).
+//	// filter (aggregate.go).
 //	rep, _ := eng.Aggregate(ctx, scenarios, repro.Seeds(1, 30),
 //		repro.MakespanSlots(), repro.TotalTime())
-//	_ = (repro.CSVSink{W: os.Stdout}).Emit(rep)
+//	for _, row := range rep.Rows {
+//		fmt.Println(row.Label, row.Summaries[0].Median, row.Summaries[1].Median)
+//	}
 //
 //	// Runs are pure functions of (scenario, seed), so grids memoize: an
 //	// engine carrying a Store replays cells it has seen before instead of
 //	// simulating them (store.go), keyed by Scenario.Fingerprint.
 //	st, _ := repro.OpenStore("results-store")
-//	rep2, _ := eng.WithStore(st).Aggregate(ctx, scenarios, repro.Seeds(1, 30),
-//		repro.MakespanSlots(), repro.TotalTime()) // bit-identical, zero simulations
+//	cached := repro.Engine{Store: st}
+//	rep2, _ := cached.Aggregate(ctx, scenarios, repro.Seeds(1, 30),
+//		repro.MakespanSlots(), repro.TotalTime()) // rerun: bit-identical, zero simulations
 //
 // See DESIGN.md for the system layering and EXPERIMENTS.md for the
 // reproduced figures.
@@ -58,14 +61,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/rng"
 	"repro/internal/trace"
-)
-
-// Algorithm names accepted by ParseAlgorithm and MustAlgorithm.
-const (
-	BEB = "BEB" // binary exponential backoff (the deployed baseline)
-	LB  = "LB"  // LOG-BACKOFF, Θ(n·log n / log log n) CW slots
-	LLB = "LLB" // LOGLOG-BACKOFF, Θ(n·log log n / log log log n) CW slots
-	STB = "STB" // SAWTOOTH-BACKOFF, Θ(n) CW slots (optimal)
 )
 
 // Algorithms returns the four paper algorithms' names in presentation

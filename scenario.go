@@ -22,8 +22,8 @@ import (
 // --- Algorithm --------------------------------------------------------------
 
 // Algorithm is a validated contention-resolution algorithm. The zero value
-// is invalid; construct one with ParseAlgorithm, MustAlgorithm, FixedWindow,
-// or Polynomial, or pick from PaperAlgorithmList.
+// is invalid; construct one with ParseAlgorithm, MustAlgorithm or
+// Polynomial, or pick from PaperAlgorithmList.
 //
 // Algorithm is a comparable value type: two Algorithms are equal exactly
 // when their spec strings are equal. The spec string is also the identity
@@ -54,15 +54,6 @@ func MustAlgorithm(spec string) Algorithm {
 	return a
 }
 
-// FixedWindow returns the fixed-backoff algorithm with constant window w
-// (clamped to >= 1) — the second phase of BEST-OF-k.
-func FixedWindow(w int) Algorithm {
-	if w < 1 {
-		w = 1
-	}
-	return Algorithm{spec: fmt.Sprintf("FIXED:%d", w)}
-}
-
 // Polynomial returns polynomial backoff with exponent p (clamped to >= 1),
 // the ablation point between fixed and exponential growth.
 func Polynomial(p float64) Algorithm {
@@ -86,9 +77,6 @@ func PaperAlgorithmList() []Algorithm {
 // String returns the spec string the Algorithm was built from, e.g. "BEB" or
 // "FIXED:64". ParseAlgorithm(a.String()) round-trips.
 func (a Algorithm) String() string { return a.spec }
-
-// IsZero reports whether a is the invalid zero Algorithm.
-func (a Algorithm) IsZero() bool { return a.spec == "" }
 
 // factory resolves the algorithm in the backoff registry, revalidating the
 // spec so that zero or hand-rolled values fail loudly rather than silently.
@@ -202,11 +190,13 @@ func (s Scenario) Validate() error {
 	if s.N < 1 {
 		return fmt.Errorf("repro: n must be >= 1, got %d", s.N)
 	}
+	// The materialized config, so a WithConfig tweak is checked too. The
+	// abstract models ignore the MAC config and leave cfg zero.
+	var cfg mac.Config
 	if s.Model.Name() == "wifi" {
-		// The materialized config, so a WithConfig tweak is checked too.
-		// The abstract models ignore the payload.
-		if p := materializeMACConfig(s.workload(), buildOptions(s.Options)).PayloadBytes; p < 0 || p > maxPayloadBytes {
-			return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
+		cfg = materializeMACConfig(s.workload(), buildOptions(s.Options))
+		if err := validateMACConfig(cfg); err != nil {
+			return err
 		}
 	}
 	if s.algorithmRequired() {
@@ -216,7 +206,7 @@ func (s Scenario) Validate() error {
 	}
 	switch w := s.workload().(type) {
 	case SingleBatch:
-		if s.neverResolves() {
+		if s.neverResolves(cfg) {
 			return fmt.Errorf("repro: %s with n=%d never resolves: every station transmits in the one slot of each window",
 				s.Algorithm, s.N)
 		}
@@ -238,23 +228,66 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// neverResolves reports a single batch of n >= 2 stations whose algorithm
-// is a constant window of 1: they collide in every window forever. The wifi
-// model clamps windows up to its CWMin, so there only CWMin <= 1 is stuck.
-func (s Scenario) neverResolves() bool {
+// validateMACConfig rejects the values the simulator cannot run: a
+// negative duration schedules an event in the past, a negative frame size
+// gives a negative airtime, and a CWMax below 1 leaves no backoff slot to
+// draw.
+func validateMACConfig(cfg mac.Config) error {
+	if p := cfg.PayloadBytes; p < 0 || p > maxPayloadBytes {
+		return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
+	}
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"SlotTime", cfg.SlotTime}, {"SIFS", cfg.SIFS}, {"DIFS", cfg.DIFS}, {"EIFS", cfg.EIFS},
+		{"AckTimeout", cfg.AckTimeout}, {"AbortOverlapAfter", cfg.Radio.AbortOverlapAfter},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("repro: MAC %s must be >= 0, got %v", d.name, d.v)
+		}
+	}
+	for _, b := range []struct {
+		name string
+		v    int
+	}{
+		{"OverheadBytes", cfg.OverheadBytes}, {"RTSBytes", cfg.RTSBytes},
+		{"CTSBytes", cfg.CTSBytes}, {"AckBytes", cfg.AckBytes},
+	} {
+		if b.v < 0 {
+			return fmt.Errorf("repro: MAC %s must be >= 0, got %d", b.name, b.v)
+		}
+	}
+	if cfg.CWMax < 1 {
+		return fmt.Errorf("repro: MAC CWMax must be >= 1, got %d", cfg.CWMax)
+	}
+	return nil
+}
+
+// neverResolves reports a single batch of n >= 2 stations whose every
+// window is 1 slot wide: they collide in every window forever. On the
+// abstract models that is a constant window of 1; the wifi model clamps
+// windows into [CWMin, CWMax] of its materialized config cfg, so there
+// CWMax <= 1 is stuck for any algorithm, and a window of 1 only while
+// CWMin <= 1.
+func (s Scenario) neverResolves(cfg mac.Config) bool {
+	if s.N < 2 {
+		return false
+	}
+	wifi := s.Model.Name() == "wifi"
+	if wifi && cfg.CWMax <= 1 {
+		return true
+	}
 	// The prefix test keeps the per-cell check allocation-free for every
 	// other algorithm; the policy name then decides spellings like FIXED:01.
-	if s.N < 2 || !strings.HasPrefix(s.Algorithm.spec, "FIXED:") {
+	if !strings.HasPrefix(s.Algorithm.spec, "FIXED:") {
 		return false
 	}
 	f, err := s.Algorithm.factory()
 	if err != nil || f().Name() != backoff.NewFixed(1).Name() {
 		return false
 	}
-	if s.Model.Name() == "wifi" {
-		return materializeMACConfig(s.workload(), buildOptions(s.Options)).CWMin <= 1
-	}
-	return true
+	return !wifi || cfg.CWMin <= 1
 }
 
 // WithOptions returns a copy of the scenario with opts appended. Later

@@ -18,8 +18,8 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 		if err != nil || b != a {
 			t.Errorf("round trip of %q: got %v (err %v)", spec, b, err)
 		}
-		if a.IsZero() {
-			t.Errorf("valid algorithm %q reports IsZero", spec)
+		if a == (Algorithm{}) {
+			t.Errorf("valid algorithm %q is the zero Algorithm", spec)
 		}
 	}
 }
@@ -30,19 +30,9 @@ func TestParseAlgorithmErrors(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q) accepted", spec)
 		}
 	}
-	var zero Algorithm
-	if !zero.IsZero() {
-		t.Error("zero Algorithm does not report IsZero")
-	}
 }
 
 func TestAlgorithmConstructors(t *testing.T) {
-	if got := FixedWindow(64).String(); got != "FIXED:64" {
-		t.Errorf("FixedWindow(64) = %q", got)
-	}
-	if got := FixedWindow(0).String(); got != "FIXED:1" {
-		t.Errorf("FixedWindow(0) = %q (want clamp to 1)", got)
-	}
 	if got := Polynomial(2).String(); got != "POLY:2" {
 		t.Errorf("Polynomial(2) = %q", got)
 	}
@@ -87,14 +77,28 @@ func TestScenarioValidate(t *testing.T) {
 			Workload: ContinuousWorkload{Horizon: time.Millisecond}}},
 		{"continuous bad rate", Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10,
 			Workload: ContinuousWorkload{Arrivals: Poisson(-1), Horizon: time.Millisecond}}},
-		{"abstract FIXED:1 n=2", Scenario{Model: Abstract(), Algorithm: FixedWindow(1), N: 2}},
-		{"unaligned FIXED:1 n=3", Scenario{Model: AbstractUnaligned(), Algorithm: FixedWindow(1), N: 3}},
-		{"wifi FIXED:1 n=2", Scenario{Model: WiFi(), Algorithm: FixedWindow(1), N: 2}},
+		{"abstract FIXED:1 n=2", Scenario{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:1"), N: 2}},
+		{"unaligned FIXED:1 n=3", Scenario{Model: AbstractUnaligned(), Algorithm: MustAlgorithm("FIXED:1"), N: 3}},
+		{"wifi FIXED:1 n=2", Scenario{Model: WiFi(), Algorithm: MustAlgorithm("FIXED:1"), N: 2}},
 		{"abstract FIXED:01 n=2", Scenario{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:01"), N: 2}},
 		{"wifi payload -1", valid.WithOptions(WithPayload(-1))},
 		{"wifi payload 2305", valid.WithOptions(WithPayload(2305))},
 		{"wifi payload 2^55", valid.WithOptions(WithPayload(1 << 55))},
 		{"wifi payload 2305 by config", valid.WithOptions(WithConfig(func(c *MACConfig) { c.PayloadBytes = 2305 }))},
+		{"wifi AckTimeout -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.AckTimeout = -time.Microsecond }))},
+		{"wifi SIFS -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.SIFS = -time.Microsecond }))},
+		{"wifi DIFS -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.DIFS = -time.Microsecond }))},
+		{"wifi EIFS -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.EIFS = -time.Microsecond }))},
+		{"wifi SlotTime -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.SlotTime = -time.Microsecond }))},
+		{"wifi AbortOverlapAfter -1µs", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.AbortOverlapAfter = -time.Microsecond }))},
+		{"wifi OverheadBytes -1000", valid.WithOptions(WithConfig(func(c *MACConfig) { c.OverheadBytes = -1000 }))},
+		{"wifi AckBytes -1000", valid.WithOptions(WithConfig(func(c *MACConfig) { c.AckBytes = -1000 }))},
+		{"wifi RTSBytes -1000", valid.WithOptions(WithRTSCTS(), WithConfig(func(c *MACConfig) { c.RTSBytes = -1000 }))},
+		{"wifi CTSBytes -1000", valid.WithOptions(WithRTSCTS(), WithConfig(func(c *MACConfig) { c.CTSBytes = -1000 }))},
+		{"wifi CWMax 0", valid.WithOptions(WithConfig(func(c *MACConfig) { c.CWMax = 0 }))},
+		{"wifi CWMax -1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.CWMax = -1 }))},
+		{"wifi CWMax 1 n=2", Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 2,
+			Options: []Option{WithConfig(func(c *MACConfig) { c.CWMin = 16; c.CWMax = 1 })}}},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -109,13 +113,17 @@ func TestScenarioValidate(t *testing.T) {
 	for _, s := range []Scenario{
 		{Model: WiFi(), N: 10, Workload: BestOfKWorkload{K: 3}},
 		{Model: Abstract(), N: 10, Workload: TreeWorkload{}},
-		{Model: Abstract(), Algorithm: FixedWindow(1), N: 1},
-		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2, Options: []Option{cwMin16}},
-		{Model: WiFi(), Algorithm: FixedWindow(1), N: 2,
+		{Model: Abstract(), Algorithm: MustAlgorithm("FIXED:1"), N: 1},
+		{Model: WiFi(), Algorithm: MustAlgorithm("FIXED:1"), N: 2, Options: []Option{cwMin16}},
+		{Model: WiFi(), Algorithm: MustAlgorithm("FIXED:1"), N: 2,
 			Workload: ContinuousWorkload{Arrivals: Saturated(), Horizon: time.Millisecond}},
 		valid.WithOptions(WithPayload(2304)),
 		valid.WithOptions(WithPayload(0)),
 		{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 10, Options: []Option{WithPayload(1 << 55)}},
+		{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 10,
+			Options: []Option{WithConfig(func(c *MACConfig) { c.AckTimeout = -time.Microsecond; c.CWMax = 0 })}},
+		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 1, Options: []Option{WithConfig(func(c *MACConfig) { c.CWMax = 1 })}},
+		valid.WithOptions(WithConfig(func(c *MACConfig) { c.SIFS = 0; c.OverheadBytes = 0; c.CWMax = 2 })),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v: Validate rejected: %v", s, err)
@@ -171,7 +179,7 @@ func FuzzParseAlgorithm(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		a, err := ParseAlgorithm(spec)
 		if err != nil {
-			if !a.IsZero() {
+			if a != (Algorithm{}) {
 				t.Fatalf("ParseAlgorithm(%q) errored but returned non-zero %v", spec, a)
 			}
 			return

@@ -32,9 +32,8 @@ const storeLogName = "results.jsonl"
 // concurrent use by any number of engines and goroutines — including
 // engines in separate processes appending to the same log, since records
 // are single-write lines and replay is last-wins. Open one with OpenStore
-// and attach it to an Engine via the Store field or WithStore.
+// and attach it to an Engine via its Store field.
 type Store struct {
-	dir string
 	key string // canonicalized dir, the open-registry entry Close releases
 	log *store.Log
 
@@ -109,11 +108,8 @@ func OpenStore(dir string) (*Store, error) {
 		openDirs.Unlock()
 		return nil, fmt.Errorf("repro: opening store: %w", err)
 	}
-	return &Store{dir: dir, key: key, log: l, inflight: make(map[store.Key]*flight)}, nil
+	return &Store{key: key, log: l, inflight: make(map[store.Key]*flight)}, nil
 }
-
-// Dir returns the store's root directory.
-func (st *Store) Dir() string { return st.dir }
 
 // Get returns the stored Result for (fp, seed), if present. A record that
 // is present but unreadable reports a miss — the engine then recomputes
@@ -141,13 +137,6 @@ func (st *Store) get(k store.Key, decode bool) (Result, json.RawMessage, bool) {
 		}
 	}
 	return r, payload, true
-}
-
-// Put stores the Result for (fp, seed), superseding any existing record.
-// The record is durable (written, single line) when Put returns.
-func (st *Store) Put(fp string, seed uint64, r Result) error {
-	_, err := st.put(store.Key{Fingerprint: fp, Seed: seed}, r)
-	return err
 }
 
 // put writes r through under k and returns its payload, the bytes a later
@@ -252,7 +241,7 @@ func (st *Store) lead(k store.Key, f *flight, run func() (Result, error), putDur
 // StoreStats describes a store's contents and its service counters.
 type StoreStats struct {
 	// Records is the number of live records; Stale counts superseded ones
-	// still occupying log space (Compact reclaims them); Corrupt counts
+	// still occupying log space; Corrupt counts
 	// unparseable lines skipped when the log was opened; Bytes is the log's
 	// file size.
 	Records, Stale, Corrupt int
@@ -261,9 +250,9 @@ type StoreStats struct {
 	// joined to an in-flight duplicate) since OpenStore; Misses counts
 	// cells it had to simulate. Direct Get calls are not counted.
 	Hits, Misses int64
-	// Puts counts successful record writes since OpenStore — write-throughs
-	// on miss plus direct Put calls. Misses ≈ Puts in a healthy store;
-	// a persistent gap means write-through failures (see WriteErr).
+	// Puts counts successful write-throughs on miss since OpenStore.
+	// Misses ≈ Puts in a healthy store; a persistent gap means
+	// write-through failures (see WriteErr).
 	Puts int64
 	// InFlight is the number of cells currently simulating through this
 	// store (singleflight leaders that have not completed) — the live
@@ -287,12 +276,6 @@ func (st *Store) Stats() StoreStats {
 		InFlight: inflight, WriteErr: werr,
 	}
 }
-
-// Compact rewrites the log keeping only the live record per key (sorted, so
-// equal stores compact to byte-identical files) and swaps it in atomically.
-// Unlike appends, Compact is not cross-process safe: run it only while no
-// other process has the store open.
-func (st *Store) Compact() error { return st.log.Compact() }
 
 // Close syncs and closes the store and releases its open-registry slot, so
 // the dir can be opened again. The Store is unusable afterwards.

@@ -241,7 +241,7 @@ func TestSweepCachedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	replay := drain(t, Engine{}.WithStore(st2).Sweep(context.Background(), grid, seeds))
+	replay := drain(t, (&Engine{Store: st2}).Sweep(context.Background(), grid, seeds))
 	if got := runs.Load(); got != int64(wantCells) {
 		t.Fatalf("reopened store simulated %d extra cells, want 0", got-int64(wantCells))
 	}
@@ -447,47 +447,6 @@ func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
 	}
 }
 
-// TestStoreCompactPreservesReplay: compaction drops superseded records but
-// never live ones.
-func TestStoreCompactPreservesReplay(t *testing.T) {
-	var runs atomic.Int64
-	grid := []Scenario{{Model: countingModel{Abstract(), &runs}, Algorithm: MustAlgorithm("BEB"), N: 50}}
-	seeds := SequentialSeeds(1, 5)
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	eng := Engine{Store: st}
-	cold := drain(t, eng.Sweep(context.Background(), grid, seeds))
-
-	// Supersede one record manually, then compact.
-	fp, err := grid[0].Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(fp, seeds[0], cold[0].Result); err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Stats(); s.Stale != 1 {
-		t.Fatalf("stats %+v, want 1 stale", s)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Stats(); s.Stale != 0 || s.Records != len(seeds) {
-		t.Fatalf("post-compact stats %+v", s)
-	}
-	before := runs.Load()
-	warm := drain(t, eng.Sweep(context.Background(), grid, seeds))
-	if got := runs.Load(); got != before {
-		t.Fatalf("post-compact sweep simulated %d cells, want 0", got-before)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("post-compact cells differ")
-	}
-}
-
 // TestNonCanonicalRecordResimulated: a record line hand-edited into JSON
 // that still parses but is not the canonical envelope the store writes
 // (keys reordered, spaces added) is a miss, never a hit — SweepJSON does
@@ -502,7 +461,7 @@ func TestNonCanonicalRecordResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := drain(t, Engine{}.WithStore(st).Sweep(context.Background(), grid, seeds))
+	cold := drain(t, (&Engine{Store: st}).Sweep(context.Background(), grid, seeds))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +518,7 @@ func TestNonCanonicalRecordResimulated(t *testing.T) {
 		t.Fatalf("stats %+v, want both edited lines superseded", s)
 	}
 	before = runs.Load()
-	if warm := drain(t, Engine{}.WithStore(st).Sweep(context.Background(), grid, seeds)); !reflect.DeepEqual(warm, cold) {
+	if warm := drain(t, (&Engine{Store: st}).Sweep(context.Background(), grid, seeds)); !reflect.DeepEqual(warm, cold) {
 		t.Fatal("cells after supersession differ from the cold run")
 	}
 	if got := runs.Load() - before; got != 0 {

@@ -80,7 +80,7 @@ func TestPaperStory(t *testing.T) {
 			t.Errorf("Result 3: %s collisions %v <= BEB %v", a, res[a].collisions, res["BEB"].collisions)
 		}
 	}
-	d := runBatch(t, WiFi(), BEB, n, WithSeed(5)).Decomposition
+	d := runBatch(t, WiFi(), "BEB", n, WithSeed(5)).Decomposition
 	if d.TransmissionTime <= d.AckTimeoutTime {
 		t.Errorf("Result 3: (I) %v not above (II) %v", d.TransmissionTime, d.AckTimeoutTime)
 	}
@@ -148,8 +148,8 @@ func TestCostModelExplainsGap(t *testing.T) {
 	const n = 120
 	var measured, modeled []float64
 	for seed := uint64(0); seed < 9; seed++ {
-		stb := runBatch(t, WiFi(), STB, n, WithSeed(seed), WithPayload(1024))
-		beb := runBatch(t, WiFi(), BEB, n, WithSeed(seed), WithPayload(1024))
+		stb := runBatch(t, WiFi(), "STB", n, WithSeed(seed), WithPayload(1024))
+		beb := runBatch(t, WiFi(), "BEB", n, WithSeed(seed), WithPayload(1024))
 		measured = append(measured, float64(stb.TotalTime-beb.TotalTime))
 		// Model: C·(P+ρ) + W·s with the full 1088-byte frame duration as
 		// P+ρ and the 9 µs slot as s.

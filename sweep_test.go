@@ -75,7 +75,7 @@ func TestSweepSeedOverridesScenarioSeed(t *testing.T) {
 		if cell.Err != nil {
 			t.Fatal(cell.Err)
 		}
-		want := runBatch(t, WiFi(), BEB, 15, WithSeed(3))
+		want := runBatch(t, WiFi(), "BEB", 15, WithSeed(3))
 		if !reflect.DeepEqual(*cell.Result.Batch, want) {
 			t.Error("grid seed did not override the scenario's WithSeed")
 		}
