@@ -87,6 +87,7 @@ func main() {
 
 	type metrics struct {
 		totalUs, cwSlots, collisions, maxTO []float64
+		batches                             []*repro.BatchResult
 	}
 	var m metrics
 	for cell := range eng.Sweep(ctx, []repro.Scenario{s}, seeds) {
@@ -99,6 +100,7 @@ func main() {
 		m.cwSlots = append(m.cwSlots, float64(res.CWSlots))
 		m.collisions = append(m.collisions, float64(res.Collisions))
 		m.maxTO = append(m.maxTO, float64(res.MaxAckTimeouts))
+		m.batches = append(m.batches, res)
 	}
 
 	fmt.Printf("%s on %s, n=%d, payload=%dB, %d trials\n", *algo, s.Model.Name(), *n, *payload, *trials)
@@ -108,13 +110,7 @@ func main() {
 		printStat("total time (µs)", m.totalUs)
 		printStat("max ACK timeouts", m.maxTO)
 		// Decomposition from a representative run (the median-total trial).
-		idx := medianIndex(m.totalUs)
-		res, err := eng.Run(ctx, s.WithOptions(repro.WithSeed(seeds[idx])))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "contend: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("decomposition (median trial): %v\n", res.Batch.Decomposition)
+		fmt.Printf("decomposition (median trial): %v\n", m.batches[medianIndex(m.totalUs)].Decomposition)
 	}
 }
 

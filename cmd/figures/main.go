@@ -75,9 +75,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := experiments.Config{Trials: *trials, NMax: *nmax, NStep: *step, Seed: *seed, Workers: *workers}
+	eng := &repro.Engine{Workers: *workers}
+	cfg := experiments.Config{Trials: *trials, NMax: *nmax, NStep: *step, Seed: *seed, Engine: eng}
 	if *progress {
-		cfg.Observer = newProgress(os.Stderr, 2*time.Second)
+		eng.Observer = newProgress(os.Stderr, 2*time.Second)
 	}
 	if *quick {
 		q := experiments.Quick()
@@ -100,7 +101,7 @@ func main() {
 			os.Exit(1)
 		}
 		store = st
-		cfg.Store = st
+		eng.Store = st
 	}
 	// exit reports the cache counters on every path — the "misses=0" line
 	// is what tells a rerun it was served entirely from the store.

@@ -68,19 +68,9 @@ func (a ArrivalSpec) process() (traffic.Process, error) {
 	}
 }
 
-// TrafficResult reports a continuous-traffic run.
-type TrafficResult struct {
-	N                  int
-	Horizon            time.Duration
-	Offered, Delivered int
-	Backlog            int
-	ThroughputMbps     float64
-	LatencyP50         time.Duration
-	LatencyP95         time.Duration
-	LatencyMax         time.Duration
-	Collisions         int
-	JainFairness       float64
-}
+// TrafficResult reports a continuous-traffic run. It aliases the MAC's
+// summary of one, so the two cannot drift apart.
+type TrafficResult = mac.TrafficSummary
 
 // PredictSaturatedThroughput returns Bianchi's analytical saturated
 // throughput (Mbit/s of payload) for BEB with the given CWmin under the

@@ -29,10 +29,11 @@ type Model interface {
 	// ("abstract", "wifi"). Renaming a model changes its random streams.
 	Name() string
 
-	// run executes the scenario with resolved options. The scenario has
-	// already been validated. Implementations are in-package: run keeps the
-	// interface closed so the RNG-label contract stays enforceable.
-	run(ctx context.Context, s Scenario, o options) (Result, error)
+	// run executes the validated scenario with resolved options, returning
+	// its kernel profile too (zero on models without an event kernel).
+	// Implementations are in-package: run keeps the interface closed so the
+	// RNG-label contract stays enforceable.
+	run(ctx context.Context, s Scenario, o options) (Result, SimStats, error)
 }
 
 // Abstract returns the abstract slotted model (assumptions A0–A2): a
@@ -77,14 +78,14 @@ func (m abstractModel) Name() string {
 	return "abstract"
 }
 
-func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, SimStats, error) {
 	algo := s.Algorithm.String()
 	var res slotted.Result
 	switch s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
 		g := o.stream(fmt.Sprintf("%s|%s|n=%d", m.Name(), s.Algorithm, s.N))
 		run := slotted.RunBatch
@@ -92,16 +93,16 @@ func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, er
 			run = slotted.RunBatchUnaligned
 		}
 		if res, err = run(s.N, f, g); err != nil {
-			return Result{}, fmt.Errorf("repro: %s: %w", s, err)
+			return Result{}, SimStats{}, fmt.Errorf("repro: %s: %w", s, err)
 		}
 	case TreeWorkload:
 		if m.unaligned {
-			return Result{}, errUnsupported(m, s.workload())
+			return Result{}, SimStats{}, errUnsupported(m, s.workload())
 		}
 		algo = "TREE"
 		res = slotted.RunTreeBatch(s.N, o.stream(fmt.Sprintf("tree|n=%d", s.N)))
 	default:
-		return Result{}, errUnsupported(m, s.workload())
+		return Result{}, SimStats{}, errUnsupported(m, s.workload())
 	}
 	return Result{Batch: &BatchResult{
 		N:             s.N,
@@ -110,7 +111,7 @@ func (m abstractModel) run(_ context.Context, s Scenario, o options) (Result, er
 		CWSlots:       res.CWSlots,
 		Collisions:    res.Collisions,
 		CWSlotsAtHalf: res.HalfSlots,
-	}}, nil
+	}}, SimStats{}, nil
 }
 
 // --- IEEE 802.11g DCF model -------------------------------------------------
@@ -161,71 +162,52 @@ func (m wifiModel) batchResult(cfg mac.Config, n int, algo string, res mac.Resul
 		MaxAckTimeouts:    res.MaxAckTimeouts,
 		MaxAckTimeoutWait: res.MaxAckTimeoutWait,
 		Captures:          res.Captures,
-		Stations:          append([]StationStats(nil), res.Stations...),
+		Stations:          res.Stations,
 		Decomposition:     &d,
 	}
 }
 
-func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, error) {
+func (m wifiModel) run(_ context.Context, s Scenario, o options) (Result, SimStats, error) {
 	cfg := materializeMACConfig(s.workload(), o)
 	switch w := s.workload().(type) {
 	case SingleBatch:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
 		g := o.stream(fmt.Sprintf("wifi|%s|n=%d", s.Algorithm, s.N))
 		res := mac.RunBatch(cfg, s.N, f, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
 		b := m.batchResult(cfg, s.N, s.Algorithm.String(), res)
-		return Result{Batch: &b}, nil
+		return Result{Batch: &b}, res.Kernel, nil
 
 	case BestOfKWorkload:
 		g := o.stream(fmt.Sprintf("bok|k=%d|n=%d", w.K, s.N))
-		res := mac.RunBestOfK(cfg, mac.DefaultBestOfK(w.K), s.N, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
+		res := mac.RunBestOfK(cfg, w.K, s.N, g, m.tracer(o))
 		ests := slices.Clone(res.Estimates)
 		slices.Sort(ests)
 		return Result{BestOfK: &BestOfKResult{
 			BatchResult:    m.batchResult(cfg, s.N, fmt.Sprintf("Best-of-%d", w.K), res.Result),
 			MedianEstimate: ests[len(ests)/2],
 			EstimationTime: res.EstimationTime,
-		}}, nil
+		}}, res.Kernel, nil
 
 	case ContinuousWorkload:
 		f, err := s.Algorithm.factory()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
 		proc, err := w.Arrivals.process()
 		if err != nil {
-			return Result{}, err
+			return Result{}, SimStats{}, err
 		}
 		g := o.stream(fmt.Sprintf("traffic|%s|%s|n=%d", s.Algorithm, proc.Name(), s.N))
 		res := mac.RunContinuous(cfg, s.N, f, proc, w.Horizon, g, m.tracer(o))
-		if o.simStats != nil {
-			*o.simStats = res.Kernel
-		}
-		return Result{Traffic: &TrafficResult{
-			N:              s.N,
-			Horizon:        w.Horizon,
-			Offered:        res.Offered,
-			Delivered:      res.Delivered,
-			Backlog:        res.Backlog,
-			ThroughputMbps: res.ThroughputMbps,
-			LatencyP50:     res.LatencyP50,
-			LatencyP95:     res.LatencyP95,
-			LatencyMax:     res.LatencyMax,
-			Collisions:     res.Collisions,
-			JainFairness:   res.JainFairness,
-		}}, nil
+		// A copy, so the Result does not keep res.Stations alive.
+		t := res.TrafficSummary
+		return Result{Traffic: &t}, res.Kernel, nil
 
 	default:
-		return Result{}, errUnsupported(m, s.workload())
+		return Result{}, SimStats{}, errUnsupported(m, s.workload())
 	}
 }
 
@@ -282,11 +264,17 @@ type Engine struct {
 // simulation always runs to completion (cancellation is checked between
 // scenarios, not inside the discrete-event loop).
 func (e *Engine) Run(ctx context.Context, s Scenario) (Result, error) {
+	res, _, err := execute(ctx, s)
+	return res, err
+}
+
+// execute is Engine.Run that also returns the run's kernel profile.
+func execute(ctx context.Context, s Scenario) (Result, SimStats, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return Result{}, SimStats{}, err
 	}
 	if err := s.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, SimStats{}, err
 	}
 	return s.Model.run(ctx, s, buildOptions(s.Options))
 }

@@ -21,10 +21,12 @@ import (
 	"repro/internal/rng"
 )
 
-// engine returns the sweep engine for this config, attached to the result
-// store and observer when the config carries them.
+// engine returns the config's sweep engine.
 func (c Config) engine() *repro.Engine {
-	return &repro.Engine{Workers: c.Workers, Store: c.Store, Observer: c.Observer}
+	if c.Engine != nil {
+		return c.Engine
+	}
+	return &repro.Engine{}
 }
 
 // legacySeeds reproduces the legacy per-trial stream ladder of the series

@@ -25,20 +25,14 @@ type Config struct {
 	NStep int
 	// Seed drives all randomness; the default 0 is a valid seed.
 	Seed uint64
-	// Workers caps parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Ctx cancels sweeps mid-run (nil = context.Background()). Generators
 	// invoked directly panic on cancellation; run them through Run, which
 	// converts that into an ordinary error.
 	Ctx context.Context
-	// Store, when non-nil, memoizes every sweep cell through the public
-	// result store, making interrupted figure runs resumable
-	// (cmd/figures -cache).
-	Store *repro.Store
-	// Observer, when non-nil, receives one CellInfo per completed sweep
-	// cell (cmd/figures -progress). Purely passive: results are identical
-	// with or without it.
-	Observer repro.Observer
+	// Engine runs every sweep (nil = a zero Engine). cmd/figures sets its
+	// Workers, its Store (-cache: interrupted runs resume) and its Observer
+	// (-progress); results are identical either way.
+	Engine *repro.Engine
 }
 
 // ctx returns the effective context.
@@ -201,7 +195,7 @@ func macSweepTable(c Config, id, title, ylabel string, cfg mac.Config, defTrials
 	metric func(repro.BatchResult) float64) repro.Table {
 	xs := c.nAxis(150, 10)
 	m := batchMetric(ylabel, metric)
-	t := repro.Table{ID: id, Title: title, XLabel: "n", YLabel: ylabel}
+	t := repro.Table{ID: id, Title: title, XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, xs, c.trials(defTrials), m, macScenario(cfg, repro.MustAlgorithm(name))))

@@ -36,7 +36,7 @@ func RTSCTSTable(c Config) repro.Table {
 		}
 	}
 	t := repro.Table{ID: "rts", Title: fmt.Sprintf("Total time (µs) with RTS/CTS, n=%d", n),
-		XLabel: "payload (bytes)", YLabel: "total time (µs)"}
+		XLabel: "payload (bytes)"}
 	for _, s := range []struct {
 		name string
 		algo string
@@ -71,7 +71,7 @@ func MinPacketTable(c Config) repro.Table {
 	cfg.PayloadBytes = 12
 
 	t := repro.Table{ID: "minpkt", Title: "Total time (µs), 12B payload (minimum packet)",
-		XLabel: "n", YLabel: "total time (µs)"}
+		XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, []float64{float64(n)}, trials, repro.TotalTime(), macScenario(cfg, repro.MustAlgorithm(name))))
@@ -105,7 +105,7 @@ func AblationCapture(c Config) repro.Table {
 		}
 	}
 	t := repro.Table{ID: "ablation-capture", Title: "Captured frames: grid vs near/far layout",
-		XLabel: "n", YLabel: "captures"}
+		XLabel: "n"}
 	t.Series = append(t.Series, c.series("grid", []float64{float64(n)}, trials, captures, build(false)))
 	t.Series = append(t.Series, c.series("nearfar", []float64{float64(n)}, trials, captures, build(true)))
 	return t
@@ -123,7 +123,7 @@ func AblationAlignment(c Config) repro.Table {
 		}
 	}
 	t := repro.Table{ID: "ablation-align", Title: "BEB collisions: aligned vs per-station windows",
-		XLabel: "n", YLabel: "collisions"}
+		XLabel: "n"}
 	t.Series = append(t.Series, c.series("aligned", xs, trials, repro.CollisionCount(), build(repro.Abstract())))
 	t.Series = append(t.Series, c.series("unaligned", xs, trials, repro.CollisionCount(), build(repro.AbstractUnaligned())))
 	return t
@@ -156,7 +156,7 @@ func AblationAckTimeout(c Config) repro.Table {
 			Options: []repro.Option{wholeConfig(cfg)}}
 	}
 	t := repro.Table{ID: "ablation-ackto", Title: fmt.Sprintf("BEB aggregate ACK-timeout wait vs timeout value, n=%d", n),
-		XLabel: "ACK timeout (µs)", YLabel: "aggregate timeout wait (µs)"}
+		XLabel: "ACK timeout (µs)"}
 	t.Series = []repro.Series{c.series("BEB", timeouts, trials, wait, build)}
 	return t
 }

@@ -19,7 +19,7 @@ func abstractScenario(algo repro.Algorithm) func(x float64) repro.Scenario {
 // (the paper's "simple Java simulation"), 50 trials.
 func Figure5(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
-	t := repro.Table{ID: "fig5", Title: "CW slots (abstract model)", XLabel: "n", YLabel: "CW slots"}
+	t := repro.Table{ID: "fig5", Title: "CW slots (abstract model)", XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, xs, c.trials(50), repro.MakespanSlots(), abstractScenario(repro.MustAlgorithm(name))))
@@ -35,7 +35,7 @@ func Figure5(c Config) repro.Table {
 // NMax, NStep} for full fidelity.
 func Figure15(c Config) repro.Table {
 	xs := c.nAxis(100_000, 20_000)
-	t := repro.Table{ID: "fig15", Title: "CW slots at large n (abstract model)", XLabel: "n", YLabel: "CW slots"}
+	t := repro.Table{ID: "fig15", Title: "CW slots at large n (abstract model)", XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, xs, c.trials(15), repro.MakespanSlots(), abstractScenario(repro.MustAlgorithm(name))))
@@ -67,7 +67,7 @@ func Figure16(c Config) repro.Table {
 		med[name] = c.series(name, xs, trials, repro.CollisionCount(), abstractScenario(repro.MustAlgorithm(name)))
 	}
 	t := repro.Table{ID: "fig16", Title: "Collision ratio vs STB (abstract model)",
-		XLabel: "n", YLabel: "ratio of collisions"}
+		XLabel: "n"}
 	for _, name := range []string{"LB", "LLB", "BEB"} {
 		s := repro.Series{Name: name + "/STB"}
 		for i, p := range med[name].Points {
@@ -91,7 +91,7 @@ func TableIII(c Config) repro.Table {
 		xs = append(xs, float64(n))
 	}
 	t := repro.Table{ID: "tab3", Title: "Disjoint collisions (Table III empirical)",
-		XLabel: "n", YLabel: "collisions"}
+		XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		t.Series = append(t.Series,
 			c.series(name, xs, c.trials(9), repro.CollisionCount(), abstractScenario(repro.MustAlgorithm(name))))

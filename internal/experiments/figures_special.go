@@ -124,7 +124,7 @@ func Figure14(c Config) repro.Table {
 	series := reportSeries("LLB-BEB", payloads, agg.Finish())
 
 	t := repro.Table{ID: "fig14", Title: fmt.Sprintf("LLB - BEB total time (µs) vs payload, n=%d", n),
-		XLabel: "payload (bytes)", YLabel: "LLB-BEB (µs)", Series: []repro.Series{series}}
+		XLabel: "payload (bytes)", Series: []repro.Series{series}}
 
 	// Regression over the full per-trial scatter, exactly as the paper fits
 	// Figure 14 (one point per trial per payload).
@@ -152,7 +152,7 @@ func Figure18(c Config) repro.Table {
 	estimate := repro.Metric{Name: "estimate", Extract: func(r repro.Result) float64 {
 		return float64(r.BestOfK.MedianEstimate)
 	}}
-	t := repro.Table{ID: "fig18", Title: "BEST-OF-k size estimates", XLabel: "n", YLabel: "estimate of n"}
+	t := repro.Table{ID: "fig18", Title: "BEST-OF-k size estimates", XLabel: "n"}
 	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, estimate, bestOfKScenario(3)))
 	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, estimate, bestOfKScenario(5)))
 	truth := repro.Series{Name: "TrueSize"}
@@ -171,7 +171,7 @@ func Figure19(c Config) repro.Table {
 	cfg := mac.DefaultConfig()
 
 	t := repro.Table{ID: "fig19", Title: "Total time: BEST-OF-k vs BEB (µs), 64B",
-		XLabel: "n", YLabel: "total time (µs)"}
+		XLabel: "n"}
 	t.Series = append(t.Series, c.series("Best-of-3", xs, trials, repro.TotalTime(), bestOfKScenario(3)))
 	t.Series = append(t.Series, c.series("Best-of-5", xs, trials, repro.TotalTime(), bestOfKScenario(5)))
 	t.Series = append(t.Series, c.series("BEB", xs, trials, repro.TotalTime(), macScenario(cfg, repro.MustAlgorithm("BEB"))))
@@ -203,7 +203,7 @@ func DecompositionTable(c Config) repro.Table {
 	}
 	order := []string{"I_transmission", "II_ackTimeouts", "III_cwSlots", "lowerBound", "observedTotal"}
 	t := repro.Table{ID: "decomp", Title: fmt.Sprintf("BEB total-time decomposition (µs), n=%d", n),
-		XLabel: "n", YLabel: "µs"}
+		XLabel: "n"}
 	for _, name := range order {
 		m := metrics[name]
 		metric := batchMetric(name, func(r repro.BatchResult) float64 { return m(*r.Decomposition) })

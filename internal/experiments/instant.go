@@ -59,7 +59,7 @@ func InstantDetectTable(c Config) repro.Table {
 		xs[i] = float64(i)
 	}
 	t := repro.Table{ID: "instant", Title: fmt.Sprintf("Total time (µs) as collision cost shrinks, n=%d", n),
-		XLabel: "regime", YLabel: "total time (µs)"}
+		XLabel: "regime"}
 	for _, name := range backoff.PaperAlgorithmNames() {
 		algo := repro.MustAlgorithm(name)
 		build := func(x float64) repro.Scenario {

@@ -42,7 +42,7 @@ func SaturatedThroughputTable(c Config) repro.Table {
 		{"POLY(2)", repro.Polynomial(2)},
 	}
 	t := repro.Table{ID: "tput", Title: "Saturated throughput (Mbit/s payload), CWmin=16",
-		XLabel: "n", YLabel: "throughput (Mbps)"}
+		XLabel: "n"}
 	for _, s := range series {
 		t.Series = append(t.Series, c.series(s.name, xs, trials, repro.ThroughputMbps(), build(s.algo)))
 	}

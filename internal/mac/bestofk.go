@@ -18,28 +18,16 @@ import (
 // Probes are sensed, never acknowledged: the phase involves no collision
 // detection and hence none of the collision costs the paper identifies.
 
-// BestOfKConfig parameterizes the estimation phase.
-type BestOfKConfig struct {
-	// K is the number of probing rounds per level (the paper uses 3 and 5).
-	K int
-	// Levels is the number of probe levels; the paper's pseudocode uses
-	// i = 0..10 (11 levels).
-	Levels int
-	// RoundDuration is the length of one probing round (35 µs).
-	RoundDuration time.Duration
-	// DummyBytes is the probe frame size (28 bytes: no upper-layer headers).
-	DummyBytes int
-}
+// The paper's estimation parameters besides k: probe levels i = 0..10,
+// 35 µs probing rounds, and 28-byte probes (no upper-layer headers).
+const (
+	bestOfKLevels     = 11
+	bestOfKRound      = 35 * time.Microsecond
+	bestOfKDummyBytes = 28
+)
 
-// DefaultBestOfK returns the paper's estimation parameters with the given k.
-func DefaultBestOfK(k int) BestOfKConfig {
-	return BestOfKConfig{K: k, Levels: 11, RoundDuration: 35 * time.Microsecond, DummyBytes: 28}
-}
-
-// PhaseDuration returns the fixed length of the estimation phase.
-func (b BestOfKConfig) PhaseDuration() time.Duration {
-	return time.Duration(b.Levels*b.K) * b.RoundDuration
-}
+// bestOfKPhase is the estimation phase's fixed length at k rounds per level.
+func bestOfKPhase(k int) time.Duration { return time.Duration(bestOfKLevels*k) * bestOfKRound }
 
 // BestOfKResult extends Result with the estimation outcome.
 type BestOfKResult struct {
@@ -52,15 +40,15 @@ type BestOfKResult struct {
 	ProbesSent int
 }
 
-// RunBestOfK simulates a single batch of n stations running BEST-OF-k
-// followed by fixed backoff, on the same topology and DCF parameters as
-// RunBatch.
-func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Tracer) BestOfKResult {
+// RunBestOfK simulates a single batch of n stations running BEST-OF-k (k
+// probing rounds per level) followed by fixed backoff, on the same topology
+// and DCF parameters as RunBatch.
+func RunBestOfK(cfg Config, k, n int, g *rng.Source, tracer Tracer) BestOfKResult {
 	if n < 1 {
 		panic("mac: RunBestOfK needs n >= 1")
 	}
-	if bok.K < 1 || bok.Levels < 1 {
-		panic("mac: BestOfKConfig needs K >= 1 and Levels >= 1")
+	if k < 1 {
+		panic("mac: RunBestOfK needs k >= 1")
 	}
 	// Stations get their fixed window only once probing ends, so they are
 	// built without a policy and without a listener: a listening station
@@ -81,15 +69,14 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	}
 	probes := make([]*probe, n)
 	for i := range probes {
-		probes[i] = &probe{g: g.DeriveIndexed("probe-", i), w: 1 << (bok.Levels - 1)}
+		probes[i] = &probe{g: g.DeriveIndexed("probe-", i), w: 1 << (bestOfKLevels - 1)}
 	}
-	out := BestOfKResult{EstimationTime: bok.PhaseDuration(), Estimates: make([]int, n)}
+	out := BestOfKResult{EstimationTime: bestOfKPhase(k), Estimates: make([]int, n)}
 
-	totalRounds := bok.Levels * bok.K
-	for r := 0; r < totalRounds; r++ {
-		level := r / bok.K
-		roundInLevel := r % bok.K
-		start := time.Duration(r) * bok.RoundDuration
+	for r := 0; r < bestOfKLevels*k; r++ {
+		level := r / k
+		roundInLevel := r % k
+		start := time.Duration(r) * bestOfKRound
 		m.sched.ScheduleArg("probeRound", start, func(event.Time, any) {
 			sentCount := 0
 			for i, p := range probes {
@@ -101,7 +88,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 					p.sent = true
 					sentCount++
 					out.ProbesSent++
-					tx := m.medium.Transmit(m.sts[i].node, cfg.DataRate, bok.DummyBytes,
+					tx := m.medium.Transmit(m.sts[i].node, cfg.DataRate, bestOfKDummyBytes,
 						Frame{Kind: FrameDummy, Src: i, Dst: APIndex}.Payload())
 					if tracer != nil {
 						tracer.TxStart(i, FrameDummy, time.Duration(tx.Start), time.Duration(tx.End))
@@ -111,7 +98,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 			// Score the round at its end: the grid guarantees every station
 			// hears every probe (see phy.TestGridNoCapture), so a
 			// non-sending station senses "clear" iff nobody sent.
-			m.sched.ScheduleArg("probeScore", bok.RoundDuration-time.Microsecond, func(event.Time, any) {
+			m.sched.ScheduleArg("probeScore", bestOfKRound-time.Microsecond, func(event.Time, any) {
 				for _, p := range probes {
 					if p.done {
 						continue
@@ -120,12 +107,12 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 						p.clear++
 					}
 				}
-				if roundInLevel == bok.K-1 {
+				if roundInLevel == k-1 {
 					for _, p := range probes {
 						if p.done {
 							continue
 						}
-						if 2*p.clear > bok.K {
+						if 2*p.clear > k {
 							p.done = true
 							p.w = 1 << level
 						}
@@ -137,7 +124,7 @@ func RunBestOfK(cfg Config, bok BestOfKConfig, n int, g *rng.Source, tracer Trac
 	}
 
 	// ---- Phase 2: fixed backoff with the adopted windows ------------------
-	m.sched.ScheduleArg("contentionStart", bok.PhaseDuration(), func(event.Time, any) {
+	m.sched.ScheduleArg("contentionStart", bestOfKPhase(k), func(event.Time, any) {
 		for i, st := range m.sts {
 			out.Estimates[i] = probes[i].w
 			st.attach(backoff.NewFixed(probes[i].w))

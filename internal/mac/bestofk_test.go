@@ -12,7 +12,7 @@ import (
 func TestBestOfKCompletesAllStations(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, k := range []int{3, 5} {
-		res := RunBestOfK(cfg, DefaultBestOfK(k), 20, rng.New(uint64(k)), nil)
+		res := RunBestOfK(cfg, k, 20, rng.New(uint64(k)), nil)
 		if len(res.Stations) != 20 {
 			t.Fatalf("k=%d: %d station stats", k, len(res.Stations))
 		}
@@ -28,16 +28,15 @@ func TestBestOfKEstimatesOverestimate(t *testing.T) {
 	// Section VI: "only overestimates occur". The adopted window should be
 	// at least n for (almost) every station; we require the median to be.
 	// Every estimate is a level's window 2^i, so it is a power of two in
-	// [1, 2^(Levels-1)].
+	// [1, 2^(bestOfKLevels-1)].
 	cfg := DefaultConfig()
-	bok := DefaultBestOfK(5)
 	for _, n := range []int{20, 60, 100} {
 		for seed := uint64(0); seed < 3; seed++ {
-			res := RunBestOfK(cfg, bok, n, rng.New(100+seed), nil)
+			res := RunBestOfK(cfg, 5, n, rng.New(100+seed), nil)
 			for i, e := range res.Estimates {
-				if e < 1 || e > 1<<(bok.Levels-1) || e&(e-1) != 0 {
+				if e < 1 || e > 1<<(bestOfKLevels-1) || e&(e-1) != 0 {
 					t.Fatalf("n=%d seed=%d: station %d estimate %d is not a power of two in [1, %d]",
-						n, seed, i, e, 1<<(bok.Levels-1))
+						n, seed, i, e, 1<<(bestOfKLevels-1))
 				}
 			}
 			med := medianIntSlice(res.Estimates)
@@ -52,13 +51,12 @@ func TestBestOfKEstimatesOverestimate(t *testing.T) {
 }
 
 func TestBestOfKEstimationPhaseLength(t *testing.T) {
-	bok := DefaultBestOfK(3)
 	want := time.Duration(11*3) * 35 * time.Microsecond
-	if bok.PhaseDuration() != want {
-		t.Fatalf("phase duration %v, want %v", bok.PhaseDuration(), want)
+	if got := bestOfKPhase(3); got != want {
+		t.Fatalf("phase duration %v, want %v", got, want)
 	}
 	cfg := DefaultConfig()
-	res := RunBestOfK(cfg, bok, 10, rng.New(7), nil)
+	res := RunBestOfK(cfg, 3, 10, rng.New(7), nil)
 	if res.EstimationTime != want {
 		t.Fatalf("EstimationTime %v, want %v", res.EstimationTime, want)
 	}
@@ -71,7 +69,7 @@ func TestBestOfKEstimationIsSmallFraction(t *testing.T) {
 	// The paper: estimation costs < 5% of total time at n = 150. Allow a
 	// loose 25% at n = 60 where totals are smaller.
 	cfg := DefaultConfig()
-	res := RunBestOfK(cfg, DefaultBestOfK(3), 60, rng.New(8), nil)
+	res := RunBestOfK(cfg, 3, 60, rng.New(8), nil)
 	if frac := float64(res.EstimationTime) / float64(res.TotalTime); frac > 0.25 {
 		t.Fatalf("estimation is %.0f%% of total", frac*100)
 	}
@@ -82,7 +80,7 @@ func TestBestOfKFewCollisions(t *testing.T) {
 	// than BEB at the same n.
 	cfg := DefaultConfig()
 	const n = 60
-	bok := RunBestOfK(cfg, DefaultBestOfK(5), n, rng.New(9), nil)
+	bok := RunBestOfK(cfg, 5, n, rng.New(9), nil)
 	beb := RunBatch(cfg, n, backoff.NewBEB, rng.New(9), nil)
 	if bok.Collisions >= beb.Collisions {
 		t.Fatalf("best-of-5 collisions %d not below BEB %d", bok.Collisions, beb.Collisions)
@@ -100,7 +98,7 @@ func TestBestOfKBeatsBEB(t *testing.T) {
 	var bokTotals, bebTotals []float64
 	for tr := 0; tr < trials; tr++ {
 		g := rng.New(uint64(500 + tr))
-		bokTotals = append(bokTotals, float64(RunBestOfK(cfg, DefaultBestOfK(3), n, g.Derive("bok"), nil).TotalTime))
+		bokTotals = append(bokTotals, float64(RunBestOfK(cfg, 3, n, g.Derive("bok"), nil).TotalTime))
 		bebTotals = append(bebTotals, float64(RunBatch(cfg, n, backoff.NewBEB, g.Derive("beb"), nil).TotalTime))
 	}
 	if medianF(bokTotals) >= medianF(bebTotals) {
@@ -110,7 +108,7 @@ func TestBestOfKBeatsBEB(t *testing.T) {
 }
 
 func TestBestOfKProbesSent(t *testing.T) {
-	res := RunBestOfK(DefaultConfig(), DefaultBestOfK(3), 30, rng.New(10), nil)
+	res := RunBestOfK(DefaultConfig(), 3, 30, rng.New(10), nil)
 	if res.ProbesSent < 30 {
 		t.Fatalf("only %d probes for 30 stations (level 0 alone sends one each per round)", res.ProbesSent)
 	}
@@ -118,8 +116,8 @@ func TestBestOfKProbesSent(t *testing.T) {
 
 func TestBestOfKDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	a := RunBestOfK(cfg, DefaultBestOfK(3), 25, rng.New(11), nil)
-	b := RunBestOfK(cfg, DefaultBestOfK(3), 25, rng.New(11), nil)
+	a := RunBestOfK(cfg, 3, 25, rng.New(11), nil)
+	b := RunBestOfK(cfg, 3, 25, rng.New(11), nil)
 	if a.TotalTime != b.TotalTime || a.ProbesSent != b.ProbesSent {
 		t.Fatal("same seed diverged")
 	}
@@ -133,11 +131,10 @@ func TestBestOfKDeterministic(t *testing.T) {
 func TestBestOfKPanicsOnBadConfig(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		bok  BestOfKConfig
-		n    int
+		k, n int
 	}{
-		{"K=0", BestOfKConfig{K: 0, Levels: 11, RoundDuration: 35 * time.Microsecond, DummyBytes: 28}, 5},
-		{"n=0", DefaultBestOfK(3), 0},
+		{"k=0", 0, 5},
+		{"n=0", 3, 0},
 	} {
 		func() {
 			defer func() {
@@ -145,7 +142,7 @@ func TestBestOfKPanicsOnBadConfig(t *testing.T) {
 					t.Errorf("%s did not panic", c.name)
 				}
 			}()
-			RunBestOfK(DefaultConfig(), c.bok, c.n, rng.New(1), nil)
+			RunBestOfK(DefaultConfig(), c.k, c.n, rng.New(1), nil)
 		}()
 	}
 }

@@ -17,13 +17,17 @@ import (
 // the steady-state and long-lived-bursty regimes its Section VII surveys
 // and its concluding remarks pose as open questions.
 
-// ContinuousResult aggregates a continuous-traffic run.
-type ContinuousResult struct {
+// TrafficSummary is a continuous-traffic run's outcome without per-station
+// detail. Its field order is its JSON order, which the result store keeps.
+type TrafficSummary struct {
 	N       int
 	Horizon time.Duration
 	// Offered counts packet arrivals within the horizon; Delivered counts
 	// acknowledged packets (the rest were queued or in flight at the end).
 	Offered, Delivered int
+	// Backlog is the number of packets still queued or in flight at the
+	// horizon.
+	Backlog int
 	// ThroughputMbps is delivered payload bits per simulated second.
 	ThroughputMbps float64
 	// Latency quantiles over delivered packets (arrival to ACK).
@@ -33,11 +37,13 @@ type ContinuousResult struct {
 	// JainFairness is Jain's fairness index over per-station deliveries:
 	// 1 = perfectly fair, 1/n = one station starves all others.
 	JainFairness float64
+}
+
+// ContinuousResult aggregates a continuous-traffic run.
+type ContinuousResult struct {
+	TrafficSummary
 	// Stations holds per-station counters.
 	Stations []StationStats
-	// Backlog is the number of packets still queued or in flight at the
-	// horizon.
-	Backlog int
 	// Kernel is the run's deterministic work profile (see KernelStats).
 	Kernel KernelStats
 }
@@ -74,13 +80,10 @@ func RunContinuous(cfg Config, n int, f backoff.Factory, proc traffic.Process,
 	m.sched.RunUntil(event.Time(horizon))
 
 	res := ContinuousResult{
-		N:         n,
-		Horizon:   horizon,
-		Offered:   offered,
-		Delivered: m.finished,
-		Stations:  make([]StationStats, n),
+		TrafficSummary: TrafficSummary{N: n, Horizon: horizon, Offered: offered, Delivered: m.finished},
+		Stations:       make([]StationStats, n),
+		Kernel:         m.kernelStats(),
 	}
-	res.Kernel = m.kernelStats()
 	res.Collisions, _ = m.ap.disjointCollisions()
 	res.Backlog = offered - m.finished
 	res.ThroughputMbps = float64(m.finished*cfg.PayloadBytes*8) / horizon.Seconds() / 1e6

@@ -22,7 +22,7 @@ func TestEstimateOverestimates(t *testing.T) {
 	g := rng.New(1)
 	for _, n := range []int{10, 50} {
 		for _, k := range []int{3, 5} {
-			res := RunBestOfK(DefaultConfig(), DefaultBestOfK(k), n, g.Derive("e"), nil)
+			res := RunBestOfK(DefaultConfig(), k, n, g.Derive("e"), nil)
 			if med := medianInt(res.Estimates); med < n {
 				t.Errorf("n=%d k=%d: median estimate %d underestimates", n, k, med)
 			}
@@ -32,7 +32,7 @@ func TestEstimateOverestimates(t *testing.T) {
 
 func TestEstimateBoundedAbove(t *testing.T) {
 	// The estimate cannot exceed the level cap 2^10 = 1024.
-	res := RunBestOfK(DefaultConfig(), DefaultBestOfK(3), 150, rng.New(2), nil)
+	res := RunBestOfK(DefaultConfig(), 3, 150, rng.New(2), nil)
 	for i, e := range res.Estimates {
 		if e > 1024 {
 			t.Fatalf("station %d estimate %d beyond cap", i, e)
@@ -44,7 +44,7 @@ func TestEstimateBoundedAbove(t *testing.T) {
 }
 
 func TestEstimatesArePowersOfTwo(t *testing.T) {
-	res := RunBestOfK(DefaultConfig(), DefaultBestOfK(5), 80, rng.New(3), nil)
+	res := RunBestOfK(DefaultConfig(), 5, 80, rng.New(3), nil)
 	for i, e := range res.Estimates {
 		if e&(e-1) != 0 {
 			t.Fatalf("station %d estimate %d not a power of two", i, e)
@@ -53,14 +53,13 @@ func TestEstimatesArePowersOfTwo(t *testing.T) {
 }
 
 func TestProbeSlotsFixed(t *testing.T) {
-	// The probing phase is Levels*K rounds whatever n is: 11*3 = 33 for
+	// The probing phase is bestOfKLevels*k rounds whatever n is: 11*3 = 33 for
 	// best-of-3 and 55 for best-of-5.
 	for _, c := range []struct{ k, n, rounds int }{{3, 42, 33}, {5, 42, 55}, {3, 7, 33}} {
-		bok := DefaultBestOfK(c.k)
-		res := RunBestOfK(DefaultConfig(), bok, c.n, rng.New(4), nil)
-		if got := int(res.EstimationTime / bok.RoundDuration); got != c.rounds || res.EstimationTime%bok.RoundDuration != 0 {
+		res := RunBestOfK(DefaultConfig(), c.k, c.n, rng.New(4), nil)
+		if got := int(res.EstimationTime / bestOfKRound); got != c.rounds || res.EstimationTime%bestOfKRound != 0 {
 			t.Fatalf("k=%d n=%d: estimation phase %v is %d rounds of %v, want %d",
-				c.k, c.n, res.EstimationTime, got, bok.RoundDuration, c.rounds)
+				c.k, c.n, res.EstimationTime, got, bestOfKRound, c.rounds)
 		}
 	}
 }
@@ -68,7 +67,7 @@ func TestProbeSlotsFixed(t *testing.T) {
 func TestRunCompletesWithFewCollisions(t *testing.T) {
 	const n = 100
 	cfg := DefaultConfig()
-	res := RunBestOfK(cfg, DefaultBestOfK(5), n, rng.New(5), nil)
+	res := RunBestOfK(cfg, 5, n, rng.New(5), nil)
 	if len(res.Stations) != n {
 		t.Fatalf("%d station stats for %d stations", len(res.Stations), n)
 	}
@@ -87,8 +86,8 @@ func TestRunCompletesWithFewCollisions(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	a := RunBestOfK(cfg, DefaultBestOfK(3), 60, rng.New(6), nil)
-	b := RunBestOfK(cfg, DefaultBestOfK(3), 60, rng.New(6), nil)
+	a := RunBestOfK(cfg, 3, 60, rng.New(6), nil)
+	b := RunBestOfK(cfg, 3, 60, rng.New(6), nil)
 	if !slices.Equal(a.Estimates, b.Estimates) {
 		t.Fatal("same seed diverged")
 	}
@@ -100,5 +99,5 @@ func TestEstimatePanics(t *testing.T) {
 			t.Fatal("n=0 did not panic")
 		}
 	}()
-	RunBestOfK(DefaultConfig(), DefaultBestOfK(3), 0, rng.New(1), nil)
+	RunBestOfK(DefaultConfig(), 3, 0, rng.New(1), nil)
 }

@@ -93,8 +93,8 @@ func TestZeroLossSeedDerivesFromStream(t *testing.T) {
 		RunBatch(explicit, 15, backoff.NewBEB, rng.New(8), nil); !reflect.DeepEqual(a, b) {
 		t.Errorf("batch: unset LossSeed differs from the derived one")
 	}
-	if a, b := RunBestOfK(unset, DefaultBestOfK(3), 15, rng.New(8), nil),
-		RunBestOfK(explicit, DefaultBestOfK(3), 15, rng.New(8), nil); !reflect.DeepEqual(a, b) {
+	if a, b := RunBestOfK(unset, 3, 15, rng.New(8), nil),
+		RunBestOfK(explicit, 3, 15, rng.New(8), nil); !reflect.DeepEqual(a, b) {
 		t.Errorf("best-of-k: unset LossSeed differs from the derived one")
 	}
 	if a, b := RunContinuous(unset, 6, backoff.NewBEB, traffic.NewPoisson(500), 20*time.Millisecond, rng.New(8), nil),

@@ -91,7 +91,7 @@ func TestBestOfKResultsPinned(t *testing.T) {
 		{lossy, 3, 16, 23, 64, 97, 978, 5, 4742000, 2705000, "740f321a623975ec"},
 	}
 	for _, c := range cases {
-		res := RunBestOfK(c.cfg, DefaultBestOfK(c.k), c.n, rng.New(c.seed), nil)
+		res := RunBestOfK(c.cfg, c.k, c.n, rng.New(c.seed), nil)
 		if len(res.Estimates) != c.n {
 			t.Fatalf("k=%d n=%d: %d estimates", c.k, c.n, len(res.Estimates))
 		}

@@ -2,17 +2,56 @@ package serve
 
 // The splice contract of EncodeCell: a cell carrying its stored bytes
 // (Cell.JSON, from Engine.SweepJSON) encodes to exactly the line the
-// marshal path writes for the decoded Result, for every result shape.
+// marshal path writes for the decoded Result, for every result shape. Every
+// line is also checked against an independent encoder, json.Marshal of
+// cellWire.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 )
+
+// cellWire is one NDJSON line of a sweep response as a struct: the cell's
+// grid position and seed, then either the Result or the cell error.
+// json.Marshal of it is the reference EncodeCell's hand-built lines must
+// match byte for byte.
+type cellWire struct {
+	Scenario int           `json:"scenario"`
+	Trial    int           `json:"trial"`
+	Seed     uint64        `json:"seed"`
+	Result   *repro.Result `json:"result,omitempty"`
+	Error    string        `json:"error,omitempty"`
+}
+
+// marshalCell encodes c through cellWire, decoding a spliced cell's stored
+// bytes first.
+func marshalCell(t *testing.T, c repro.Cell) []byte {
+	t.Helper()
+	cw := cellWire{Scenario: c.ScenarioIndex, Trial: c.SeedIndex, Seed: c.Seed}
+	switch {
+	case c.Err != nil:
+		cw.Error = c.Err.Error()
+	case c.JSON != nil:
+		cw.Result = new(repro.Result)
+		if err := json.Unmarshal(c.JSON, cw.Result); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		cw.Result = &c.Result
+	}
+	b, err := json.Marshal(cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
 
 // encodeAll drains a sweep into its NDJSON lines. spliced says whether the
 // successful cells must carry Cell.JSON (a store-backed SweepJSON) or must
@@ -30,6 +69,9 @@ func encodeAll(t *testing.T, ch <-chan repro.Cell, spliced bool) [][]byte {
 		line, err := EncodeCell(c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := marshalCell(t, c); !bytes.Equal(line, want) {
+			t.Fatalf("cell (%d,%d): EncodeCell\n %s differs from json.Marshal\n %s", c.ScenarioIndex, c.SeedIndex, line, want)
 		}
 		lines = append(lines, line)
 	}
@@ -109,6 +151,12 @@ func TestEncodeCellSpliceMatchesMarshal(t *testing.T) {
 	sameLines(t, "cold SweepJSON", encodeAll(t, coldCh, true), want)
 	sameLines(t, "follower SweepJSON", encodeAll(t, followCh, true), want)
 	sameLines(t, "warm SweepJSON", encodeAll(t, leader.SweepJSON(ctx, grid, seeds), true), want)
+
+	// Error messages are escaped as json.Marshal escapes them, HTML-safe.
+	failed := make(chan repro.Cell, 1)
+	failed <- repro.Cell{ScenarioIndex: 1, SeedIndex: 2, Seed: 3, Err: errors.New(`bad "quote" <tag> & amp`)}
+	close(failed)
+	encodeAll(t, failed, false)
 
 	// Failed cells are never stored, so each run retries them; nothing else
 	// simulates twice.

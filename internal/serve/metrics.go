@@ -75,18 +75,11 @@ func (m *metrics) observe(name string, d time.Duration, failed bool) {
 	e.latency.Observe(float64(d) / float64(time.Millisecond))
 }
 
-type endpointSnapshot struct {
-	name          string
-	count, errors int64
-	p50, p99      float64 // milliseconds, estimated from the histogram
-}
-
-// snapshot returns per-endpoint statistics sorted by endpoint name, so the
+// snapshot returns the /v1/stats endpoint rows sorted by name, so the
 // rendered output is deterministic for a given traffic history. Quantiles
-// are bucket-interpolated estimates over the whole uptime (the ring the
-// old implementation kept windowed them to recent traffic; the full
-// histogram is also in the registry for consumers that want the shape).
-func (m *metrics) snapshot() []endpointSnapshot {
+// are bucket-interpolated estimates in milliseconds over the whole uptime;
+// the full histogram is in the registry too.
+func (m *metrics) snapshot() []endpointWire {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.endpoints))
 	for name := range m.endpoints {
@@ -99,15 +92,11 @@ func (m *metrics) snapshot() []endpointSnapshot {
 	}
 	m.mu.Unlock()
 
-	out := make([]endpointSnapshot, 0, len(names))
+	out := make([]endpointWire, 0, len(names))
 	for i, name := range names {
 		e := series[i]
-		out = append(out, endpointSnapshot{
-			name:  name,
-			count: e.count.Value(), errors: e.errors.Value(),
-			p50: e.latency.Quantile(0.50),
-			p99: e.latency.Quantile(0.99),
-		})
+		out = append(out, endpointWire{Name: name, Count: e.count.Value(), Errors: e.errors.Value(),
+			P50MS: e.latency.Quantile(0.50), P99MS: e.latency.Quantile(0.99)})
 	}
 	return out
 }

@@ -326,53 +326,38 @@ type sweepRequest struct {
 	Seeds     []uint64             `json:"seeds"`
 }
 
-// cellWire is one NDJSON line of a sweep response: the cell's grid position
-// and seed, then either the Result (the store's record payload, Go field
-// names, schema-versioned by the fingerprint's "v1") or the cell error.
-type cellWire struct {
-	Scenario int           `json:"scenario"`
-	Trial    int           `json:"trial"`
-	Seed     uint64        `json:"seed"`
-	Result   *repro.Result `json:"result,omitempty"`
-	Error    string        `json:"error,omitempty"`
-}
-
 // EncodeCell renders one sweep cell as its NDJSON line (trailing newline
-// included). The encoding is deterministic — equal cells encode to equal
-// bytes — so a warm sweep response is byte-identical to the cold one that
-// populated the store, and to a direct Engine.Sweep encoded the same way.
-//
-// A cell carrying Cell.JSON (Engine.SweepJSON) is spliced: the stored
-// Result bytes go between the cell's head and its closing brace unparsed.
-// That is the line json.Marshal of cellWire writes, because a payload is
-// exactly json.Marshal(Result) — the fingerprint's "v1" pins that schema.
-// Any other cell is marshalled.
+// included): the cell's grid position and seed, then its error or its
+// Result — json.Marshal(Result), Go field names, schema-versioned by the
+// fingerprint's "v1". A cell carrying Cell.JSON (Engine.SweepJSON) splices
+// those stored bytes, which are exactly that encoding, unparsed. Equal
+// cells encode to equal bytes, so a warm sweep response is byte-identical
+// to the cold one that populated the store, and to a direct Engine.Sweep
+// encoded the same way.
 func EncodeCell(c repro.Cell) ([]byte, error) { return appendCell(nil, c) }
 
 // appendCell appends c's NDJSON line to dst; see EncodeCell.
 func appendCell(dst []byte, c repro.Cell) ([]byte, error) {
-	if c.Err == nil && c.JSON != nil {
-		dst = append(dst, `{"scenario":`...)
-		dst = strconv.AppendInt(dst, int64(c.ScenarioIndex), 10)
-		dst = append(dst, `,"trial":`...)
-		dst = strconv.AppendInt(dst, int64(c.SeedIndex), 10)
-		dst = append(dst, `,"seed":`...)
-		dst = strconv.AppendUint(dst, c.Seed, 10)
-		dst = append(dst, `,"result":`...)
-		dst = append(dst, c.JSON...)
-		return append(dst, "}\n"...), nil
+	dst = append(dst, `{"scenario":`...)
+	dst = strconv.AppendInt(dst, int64(c.ScenarioIndex), 10)
+	dst = append(dst, `,"trial":`...)
+	dst = strconv.AppendInt(dst, int64(c.SeedIndex), 10)
+	dst = append(dst, `,"seed":`...)
+	dst = strconv.AppendUint(dst, c.Seed, 10)
+	switch {
+	case c.Err != nil:
+		b, _ := json.Marshal(c.Err.Error()) // a string always marshals, HTML-escaped
+		dst = append(append(dst, `,"error":`...), b...)
+	case c.JSON != nil:
+		dst = append(append(dst, `,"result":`...), c.JSON...)
+	default:
+		b, err := json.Marshal(c.Result)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"result":`...), b...)
 	}
-	cw := cellWire{Scenario: c.ScenarioIndex, Trial: c.SeedIndex, Seed: c.Seed}
-	if c.Err != nil {
-		cw.Error = c.Err.Error()
-	} else {
-		cw.Result = &c.Result
-	}
-	b, err := json.Marshal(cw)
-	if err != nil {
-		return dst, err
-	}
-	return append(append(dst, b...), '\n'), nil
+	return append(dst, "}\n"...), nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
@@ -629,7 +614,7 @@ type endpointWire struct {
 func (s *Server) statsSnapshot() statsWire {
 	out := statsWire{
 		Sims:      simsWire{InFlight: s.adm.inFlight.Load(), Total: s.adm.total.Load(), Budget: s.cfg.MaxSims},
-		Endpoints: []endpointWire{},
+		Endpoints: s.met.snapshot(),
 	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
@@ -644,11 +629,6 @@ func (s *Server) statsSnapshot() statsWire {
 			sw.WriteErr = st.WriteErr.Error()
 		}
 		out.Store = sw
-	}
-	for _, e := range s.met.snapshot() {
-		out.Endpoints = append(out.Endpoints, endpointWire{
-			Name: e.name, Count: e.count, Errors: e.errors, P50MS: e.p50, P99MS: e.p99,
-		})
 	}
 	out.Metrics = s.reg.Snapshot()
 	return out

@@ -116,7 +116,6 @@ type options struct {
 	rtscts    bool
 	tracer    *trace.Recorder
 	cfgTweaks []func(*mac.Config)
-	simStats  *SimStats
 }
 
 // stream builds the run's RNG stream: normally derived from the seed via
@@ -166,16 +165,6 @@ type MACConfig = mac.Config
 // run (wifi model only); the escape hatch for protocol ablations.
 func WithConfig(tweak func(*MACConfig)) Option {
 	return func(o *options) { o.cfgTweaks = append(o.cfgTweaks, tweak) }
-}
-
-// withSimStats asks the model to copy the run's deterministic kernel
-// profile (mac.Result.Kernel) into dst after the simulation completes. It
-// is unexported — the public way in is Engine.Observer, which owns the
-// destination's lifetime; handing users a raw pointer option would invite
-// races on shared destinations in parallel sweeps. The abstract models
-// have no event kernel and leave dst zero.
-func withSimStats(dst *SimStats) Option {
-	return func(o *options) { o.simStats = dst }
 }
 
 func buildOptions(opts []Option) options {

@@ -230,8 +230,8 @@ func (s Scenario) Validate() error {
 
 // validateMACConfig rejects the values the simulator cannot run: a
 // negative duration schedules an event in the past, a negative frame size
-// gives a negative airtime, and a CWMax below 1 leaves no backoff slot to
-// draw.
+// gives a negative airtime, a CWMax below 1 leaves no backoff slot to draw,
+// and a FrameLossProb of 1 or more (or NaN) loses every frame.
 func validateMACConfig(cfg mac.Config) error {
 	if p := cfg.PayloadBytes; p < 0 || p > maxPayloadBytes {
 		return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
@@ -260,6 +260,9 @@ func validateMACConfig(cfg mac.Config) error {
 	}
 	if cfg.CWMax < 1 {
 		return fmt.Errorf("repro: MAC CWMax must be >= 1, got %d", cfg.CWMax)
+	}
+	if p := cfg.Radio.FrameLossProb; !(p >= 0 && p < 1) {
+		return fmt.Errorf("repro: MAC Radio.FrameLossProb must be in [0, 1), got %v", p)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -99,6 +100,10 @@ func TestScenarioValidate(t *testing.T) {
 		{"wifi CWMax -1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.CWMax = -1 }))},
 		{"wifi CWMax 1 n=2", Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 2,
 			Options: []Option{WithConfig(func(c *MACConfig) { c.CWMin = 16; c.CWMax = 1 })}}},
+		{"wifi FrameLossProb -0.1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = -0.1 }))},
+		{"wifi FrameLossProb 1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 1 }))},
+		{"wifi FrameLossProb 2", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 2 }))},
+		{"wifi FrameLossProb NaN", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = math.NaN() }))},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -124,6 +129,7 @@ func TestScenarioValidate(t *testing.T) {
 			Options: []Option{WithConfig(func(c *MACConfig) { c.AckTimeout = -time.Microsecond; c.CWMax = 0 })}},
 		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 1, Options: []Option{WithConfig(func(c *MACConfig) { c.CWMax = 1 })}},
 		valid.WithOptions(WithConfig(func(c *MACConfig) { c.SIFS = 0; c.OverheadBytes = 0; c.CWMax = 2 })),
+		valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 0.5 })),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v: Validate rejected: %v", s, err)

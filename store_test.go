@@ -31,7 +31,7 @@ type countingModel struct {
 
 func (m countingModel) Name() string { return m.inner.Name() }
 
-func (m countingModel) run(ctx context.Context, s Scenario, o options) (Result, error) {
+func (m countingModel) run(ctx context.Context, s Scenario, o options) (Result, SimStats, error) {
 	m.runs.Add(1)
 	return m.inner.run(ctx, s, o)
 }

@@ -205,14 +205,10 @@ func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string
 		info = &CellInfo{Scenario: s, Seed: seed, Fingerprint: fp, Start: time.Now()}
 		putDur = &info.PutDuration
 	}
-	run := func() (Result, error) {
-		// Room for withSimStats up front: the observed path then appends
-		// without growing the slice onto the heap.
-		opts := append(make([]Option, 0, 2), WithSeed(seed))
+	simulate := func() (Result, error) {
 		var t0 time.Time
 		if info != nil {
 			info.Simulated = true
-			opts = append(opts, withSimStats(&info.Sim))
 			t0 = time.Now()
 		}
 		if e.Admit != nil {
@@ -226,9 +222,10 @@ func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string
 			}
 			defer release()
 		}
-		res, err := e.Run(ctx, s.WithOptions(opts...))
+		res, sim, err := execute(ctx, s.WithOptions(WithSeed(seed)))
 		if info != nil {
 			info.SimDuration = time.Since(t0)
+			info.Sim = sim
 		}
 		return res, err
 	}
@@ -236,9 +233,9 @@ func (e *Engine) runCell(ctx context.Context, s Scenario, seed uint64, fp string
 	var payload json.RawMessage
 	var err error
 	if e.Store == nil || fp == "" {
-		res, err = run()
+		res, err = simulate()
 	} else {
-		res, payload, err = e.Store.do(fp, seed, decode, run, putDur)
+		res, payload, err = e.Store.do(fp, seed, decode, simulate, putDur)
 	}
 	if info != nil {
 		info.Total = time.Since(info.Start)

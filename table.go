@@ -48,7 +48,6 @@ type Table struct {
 	ID     string // e.g. "fig7"
 	Title  string
 	XLabel string
-	YLabel string
 	Series []Series
 	// Notes carries free-form findings (regression summaries, percent
 	// deltas) printed with the table.

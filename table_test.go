@@ -13,7 +13,7 @@ func pt(x, median, lo, hi float64) Point {
 
 func makeTable() Table {
 	return Table{
-		ID: "fig0", Title: "test", XLabel: "n", YLabel: "y",
+		ID: "fig0", Title: "test", XLabel: "n",
 		Series: []Series{
 			{Name: "BEB", Points: []Point{pt(10, 100, 90, 110), pt(20, 200, 180, 220)}},
 			{Name: "STB", Points: []Point{pt(10, 50, 45, 55), pt(20, 260, 250, 270)}},
