@@ -55,7 +55,10 @@ func BenchmarkFig13Trace(b *testing.B) {
 	cfg := benchConfig()
 	var out string
 	for i := 0; i < b.N; i++ {
-		out, _ = experiments.Figure13(cfg)
+		var err error
+		if out, _, err = experiments.RunTrace(b.Context(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(out)), "render_bytes")
 }

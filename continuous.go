@@ -79,9 +79,5 @@ func PredictSaturatedThroughput(n, cwMin, payloadBytes int) (float64, error) {
 	cfg := mac.DefaultConfig()
 	cfg.CWMin = cwMin
 	cfg.PayloadBytes = payloadBytes
-	th, err := saturation.Predict(cfg, n)
-	if err != nil {
-		return 0, err
-	}
-	return th.Mbps, nil
+	return saturation.Predict(cfg, n)
 }

@@ -60,6 +60,20 @@ func TestEngineRunNoProgressIsAnError(t *testing.T) {
 	}
 }
 
+// TestPolyLargeExponentResolves runs a schedule whose windows outgrow int
+// at the second attempt. They saturate, so the batch resolves; had they
+// wrapped to 1, POLY:100 would be FIXED:1 and exhaust the MAC's event
+// budget on two stations.
+func TestPolyLargeExponentResolves(t *testing.T) {
+	s := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("POLY:100"), N: 2}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustRun(t, s); res.Batch == nil || res.Batch.TotalTime <= 0 {
+		t.Fatalf("POLY:100 n=2: %+v", res)
+	}
+}
+
 func TestEngineRunManyOrderAndError(t *testing.T) {
 	var eng Engine
 	scenarios := []Scenario{

@@ -183,9 +183,12 @@ func (q *poly) Name() string { return fmt.Sprintf("POLY(%g)", q.p) }
 func (q *poly) Reset()       { q.k = 0 }
 func (q *poly) NextWindow() int {
 	q.k++
-	w := int(math.Pow(float64(q.k), q.p))
-	if w < 1 {
-		w = 1
+	// k^p outgrows int long before k does, and converting an out-of-range
+	// float wraps: saturate at BEB's doubling bound instead, so windows
+	// never shrink.
+	w := math.MaxInt / 2
+	if pw := math.Pow(float64(q.k), q.p); pw < float64(w) {
+		w = int(pw)
 	}
 	return w
 }

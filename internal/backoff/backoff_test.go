@@ -217,6 +217,20 @@ func TestPolyQuadratic(t *testing.T) {
 	}
 }
 
+// TestPolySaturates pins the overflow guard: exponents whose windows
+// outgrow int saturate instead of wrapping back to small windows, which
+// would turn POLY:p into FIXED:1 once k^p passes math.MaxInt.
+func TestPolySaturates(t *testing.T) {
+	for _, p := range []float64{40, 64, 100, math.Inf(1)} {
+		ws := Windows(func() Policy { return NewPoly(p) }, 50)
+		for i, w := range ws {
+			if w < 1 || i > 0 && w < ws[i-1] {
+				t.Fatalf("POLY(%g) windows %v: not >= 1 and non-decreasing at attempt %d", p, ws, i)
+			}
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	for _, name := range PaperAlgorithmNames() {
 		f, ok := Registered(name)

@@ -127,28 +127,28 @@ type Generator struct {
 
 // All returns every table-shaped experiment in paper order. Figure 13 (the
 // execution trace) and Figure 17 (pseudocode — implemented as mac.RunBestOfK)
-// are not tables; see Figure13.
+// are not tables; see RunTrace.
 func All() []Generator {
 	return []Generator{
-		{"fig3", "CW slots vs n, 64B payload (MAC)", Figure3},
-		{"fig4", "CW slots vs n, 1024B payload (MAC)", Figure4},
-		{"fig5", "CW slots vs n (abstract model)", Figure5},
-		{"fig6", "CW slots to finish n/2, 64B (MAC)", Figure6},
-		{"fig7", "Total time vs n, 64B (MAC)", Figure7},
-		{"fig8", "Total time vs n, 1024B (MAC)", Figure8},
-		{"fig9", "Time to finish n/2, 64B (MAC)", Figure9},
-		{"fig10", "Time to finish n/2, 1024B (MAC)", Figure10},
-		{"fig11", "Max ACK timeouts per station, 64B (MAC)", Figure11},
-		{"fig12", "Max time waiting on ACK timeouts, 64B (MAC)", Figure12},
-		{"fig14", "LLB - BEB total time vs payload size, n=150", Figure14},
-		{"fig15", "CW slots at large n (abstract model)", Figure15},
-		{"fig16", "Collision ratios vs STB (abstract model)", Figure16},
-		{"fig18", "BEST-OF-k size estimates vs true n", Figure18},
-		{"fig19", "Total time: BEST-OF-k vs BEB, 64B (MAC)", Figure19},
-		{"tab3", "Empirical collision counts (Table III shapes)", TableIII},
-		{"decomp", "Section III-B total-time decomposition, BEB", DecompositionTable},
-		{"rts", "Section III-B RTS/CTS comparison, n=150", RTSCTSTable},
-		{"minpkt", "Section V-B minimum-packet experiment", MinPacketTable},
+		{"fig3", "CW slots vs n, 64B payload (MAC)", figure3},
+		{"fig4", "CW slots vs n, 1024B payload (MAC)", figure4},
+		{"fig5", "CW slots vs n (abstract model)", figure5},
+		{"fig6", "CW slots to finish n/2, 64B (MAC)", figure6},
+		{"fig7", "Total time vs n, 64B (MAC)", figure7},
+		{"fig8", "Total time vs n, 1024B (MAC)", figure8},
+		{"fig9", "Time to finish n/2, 64B (MAC)", figure9},
+		{"fig10", "Time to finish n/2, 1024B (MAC)", figure10},
+		{"fig11", "Max ACK timeouts per station, 64B (MAC)", figure11},
+		{"fig12", "Max time waiting on ACK timeouts, 64B (MAC)", figure12},
+		{"fig14", "LLB - BEB total time vs payload size, n=150", figure14},
+		{"fig15", "CW slots at large n (abstract model)", figure15},
+		{"fig16", "Collision ratios vs STB (abstract model)", figure16},
+		{"fig18", "BEST-OF-k size estimates vs true n", figure18},
+		{"fig19", "Total time: BEST-OF-k vs BEB, 64B (MAC)", figure19},
+		{"tab3", "Empirical collision counts (Table III shapes)", tableIII},
+		{"decomp", "Section III-B total-time decomposition, BEB", decompositionTable},
+		{"rts", "Section III-B RTS/CTS comparison, n=150", rtsctsTable},
+		{"minpkt", "Section V-B minimum-packet experiment", minPacketTable},
 	}
 }
 
@@ -156,11 +156,11 @@ func All() []Generator {
 // own design decisions (DESIGN.md), not paper artifacts.
 func Extras() []Generator {
 	return []Generator{
-		{"ablation-capture", "Collisions: paper grid vs near/far capture layout", AblationCapture},
-		{"ablation-align", "Collisions: aligned vs per-station windows", AblationAlignment},
-		{"ablation-ackto", "Aggregate ACK-timeout wait vs timeout value", AblationAckTimeout},
-		{"instant", "Section V-B: shrinking the cost of collision detection", InstantDetectTable},
-		{"tput", "Saturated throughput vs n (continuous traffic, CWmin=16)", SaturatedThroughputTable},
+		{"ablation-capture", "Collisions: paper grid vs near/far capture layout", ablationCapture},
+		{"ablation-align", "Collisions: aligned vs per-station windows", ablationAlignment},
+		{"ablation-ackto", "Aggregate ACK-timeout wait vs timeout value", ablationAckTimeout},
+		{"instant", "Section V-B: shrinking the cost of collision detection", instantDetectTable},
+		{"tput", "Saturated throughput vs n (continuous traffic, CWmin=16)", saturatedThroughputTable},
 	}
 }
 

@@ -62,7 +62,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFigure3QuickShape(t *testing.T) {
-	tab := Figure3(Quick())
+	tab := figure3(Quick())
 	checkTableBasics(t, tab, paperSeries)
 	// Result 1 (CW slots): STB and LB below BEB at the largest n.
 	beb := lastMedian(t, tab, "BEB")
@@ -77,7 +77,7 @@ func TestFigure3QuickShape(t *testing.T) {
 }
 
 func TestFigure5QuickShape(t *testing.T) {
-	tab := Figure5(Quick())
+	tab := figure5(Quick())
 	checkTableBasics(t, tab, paperSeries)
 	beb := lastMedian(t, tab, "BEB")
 	if v := lastMedian(t, tab, "STB"); v >= beb {
@@ -86,7 +86,7 @@ func TestFigure5QuickShape(t *testing.T) {
 }
 
 func TestFigure6Quick(t *testing.T) {
-	tab := Figure6(Quick())
+	tab := figure6(Quick())
 	checkTableBasics(t, tab, paperSeries)
 }
 
@@ -95,7 +95,7 @@ func TestFigure7QuickReversal(t *testing.T) {
 	c.NMax = 100
 	c.NStep = 50
 	c.Trials = 9
-	tab := Figure7(c)
+	tab := figure7(c)
 	checkTableBasics(t, tab, paperSeries)
 	// Result 2 (total time): LB and STB above BEB at the largest n.
 	beb := lastMedian(t, tab, "BEB")
@@ -107,7 +107,7 @@ func TestFigure7QuickReversal(t *testing.T) {
 }
 
 func TestFigure9Quick(t *testing.T) {
-	tab := Figure9(Quick())
+	tab := figure9(Quick())
 	checkTableBasics(t, tab, paperSeries)
 	// Half-time is below total time by construction; here just check the
 	// series are populated and ordered sensibly at the largest n.
@@ -121,7 +121,7 @@ func TestFigure11TimeoutOrdering(t *testing.T) {
 	c.NMax = 100
 	c.NStep = 50
 	c.Trials = 9
-	tab := Figure11(c)
+	tab := figure11(c)
 	checkTableBasics(t, tab, paperSeries)
 	// Slower backoff means more timeouts: LB above BEB (Figure 11).
 	if lb, beb := lastMedian(t, tab, "LB"), lastMedian(t, tab, "BEB"); lb <= beb {
@@ -130,12 +130,12 @@ func TestFigure11TimeoutOrdering(t *testing.T) {
 }
 
 func TestFigure12Quick(t *testing.T) {
-	tab := Figure12(Quick())
+	tab := figure12(Quick())
 	checkTableBasics(t, tab, paperSeries)
 }
 
 func TestFigure13Render(t *testing.T) {
-	out, rec := Figure13(Quick())
+	out, rec := figure13(Quick())
 	if !strings.Contains(out, "█") || !strings.Contains(out, "Figure 13") {
 		t.Fatalf("figure 13 render missing content:\n%s", out)
 	}
@@ -146,7 +146,7 @@ func TestFigure13Render(t *testing.T) {
 
 func TestFigure14SlopePositive(t *testing.T) {
 	c := Config{NMax: 100, NStep: 300, Trials: 15, Seed: 5}
-	tab := Figure14(c)
+	tab := figure14(c)
 	// checkTableBasics rejects negative medians, but a difference series is
 	// legitimately negative; check structure by hand.
 	if s := tab.SeriesByName("LLB-BEB"); s == nil || len(s.Points) < 2 {
@@ -167,7 +167,7 @@ func TestFigure14SlopePositive(t *testing.T) {
 // A payload step past the 1000-byte maximum clamps to a single point at the
 // maximum instead of asking for an empty axis.
 func TestFigure14StepAboveMaxPayload(t *testing.T) {
-	tab := Figure14(Config{Trials: 1, NMax: 5, NStep: 2000, Seed: 1})
+	tab := figure14(Config{Trials: 1, NMax: 5, NStep: 2000, Seed: 1})
 	s := tab.SeriesByName("LLB-BEB")
 	if s == nil || len(s.Points) != 1 || s.Points[0].X != 1000 {
 		t.Fatalf("fig14 with step 2000: want one point at x=1000, got %+v", s)
@@ -176,7 +176,7 @@ func TestFigure14StepAboveMaxPayload(t *testing.T) {
 
 func TestFigure15LargeNOrdering(t *testing.T) {
 	c := Config{NMax: 30000, NStep: 15000, Trials: 5, Seed: 2}
-	tab := Figure15(c)
+	tab := figure15(c)
 	checkTableBasics(t, tab, paperSeries)
 	// Beyond n ~ 3x10^4 the asymptotics separate cleanly (Section V-A):
 	// STB < LLB < LB < BEB on CW slots.
@@ -192,7 +192,7 @@ func TestFigure15LargeNOrdering(t *testing.T) {
 
 func TestFigure16Ratios(t *testing.T) {
 	c := Config{NMax: 8000, NStep: 4000, Trials: 5, Seed: 3}
-	tab := Figure16(c)
+	tab := figure16(c)
 	checkTableBasics(t, tab, []string{"LB/STB", "LLB/STB", "BEB/STB"})
 	// LB suffers more collisions than STB already at moderate n; BEB has
 	// fewer (both are Θ(n) but STB's backon inflates the constant).
@@ -206,7 +206,7 @@ func TestFigure16Ratios(t *testing.T) {
 
 func TestFigure18Overestimates(t *testing.T) {
 	c := Quick()
-	tab := Figure18(c)
+	tab := figure18(c)
 	checkTableBasics(t, tab, []string{"Best-of-3", "Best-of-5", "TrueSize"})
 	for _, name := range []string{"Best-of-3", "Best-of-5"} {
 		s := tab.SeriesByName(name)
@@ -223,7 +223,7 @@ func TestFigure19BestOfKWins(t *testing.T) {
 	c.NMax = 100
 	c.NStep = 50
 	c.Trials = 9
-	tab := Figure19(c)
+	tab := figure19(c)
 	checkTableBasics(t, tab, []string{"Best-of-3", "Best-of-5", "BEB"})
 	beb := lastMedian(t, tab, "BEB")
 	for _, name := range []string{"Best-of-3", "Best-of-5"} {
@@ -235,7 +235,7 @@ func TestFigure19BestOfKWins(t *testing.T) {
 
 func TestTableIIIQuick(t *testing.T) {
 	c := Config{NMax: 2048, Trials: 5, Seed: 4}
-	tab := TableIII(c)
+	tab := tableIII(c)
 	checkTableBasics(t, tab, paperSeries)
 	if len(tab.Notes) != 4 {
 		t.Fatalf("tab3: %d notes, want 4", len(tab.Notes))
@@ -248,7 +248,7 @@ func TestTableIIIQuick(t *testing.T) {
 
 func TestDecompositionQuick(t *testing.T) {
 	c := Config{NMax: 80, Trials: 7, Seed: 6}
-	tab := DecompositionTable(c)
+	tab := decompositionTable(c)
 	checkTableBasics(t, tab, []string{"I_transmission", "II_ackTimeouts", "III_cwSlots", "lowerBound", "observedTotal"})
 	lower := lastMedian(t, tab, "lowerBound")
 	obs := lastMedian(t, tab, "observedTotal")
@@ -263,7 +263,7 @@ func TestDecompositionQuick(t *testing.T) {
 
 func TestRTSCTSQuick(t *testing.T) {
 	c := Config{NMax: 60, NStep: 1, Trials: 5, Seed: 7}
-	tab := RTSCTSTable(c)
+	tab := rtsctsTable(c)
 	checkTableBasics(t, tab, []string{"BEB", "LLB", "BEB-no", "LLB-no"})
 	if len(tab.Notes) == 0 {
 		t.Error("rts: percentage note missing")
@@ -272,13 +272,13 @@ func TestRTSCTSQuick(t *testing.T) {
 
 func TestMinPacketQuick(t *testing.T) {
 	c := Config{NMax: 60, Trials: 5, Seed: 8}
-	tab := MinPacketTable(c)
+	tab := minPacketTable(c)
 	checkTableBasics(t, tab, paperSeries)
 }
 
 func TestAblationCaptureQuick(t *testing.T) {
 	c := Config{Trials: 5, Seed: 9}
-	tab := AblationCapture(c)
+	tab := ablationCapture(c)
 	checkTableBasics(t, tab, []string{"grid", "nearfar"})
 	// The paper's grid admits no capture at all; the near/far layout must
 	// show some frames decoded despite overlap.
@@ -293,13 +293,13 @@ func TestAblationCaptureQuick(t *testing.T) {
 
 func TestAblationAlignmentQuick(t *testing.T) {
 	c := Config{NMax: 100, NStep: 50, Trials: 5, Seed: 10}
-	tab := AblationAlignment(c)
+	tab := ablationAlignment(c)
 	checkTableBasics(t, tab, []string{"aligned", "unaligned"})
 }
 
 func TestAblationAckTimeoutQuick(t *testing.T) {
 	c := Config{NMax: 40, Trials: 5, Seed: 11}
-	tab := AblationAckTimeout(c)
+	tab := ablationAckTimeout(c)
 	checkTableBasics(t, tab, []string{"BEB"})
 	s := tab.SeriesByName("BEB")
 	// The aggregate timeout wait grows with the timeout value (the count of

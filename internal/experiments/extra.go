@@ -13,10 +13,10 @@ import (
 // usDur converts microseconds (as float) to a duration.
 func usDur(x float64) time.Duration { return time.Duration(x * float64(time.Microsecond)) }
 
-// RTSCTSTable regenerates the Section III-B RTS/CTS discussion: total time
+// rtsctsTable regenerates the Section III-B RTS/CTS discussion: total time
 // for BEB and LLB with the handshake enabled. The paper reports the same
 // qualitative behaviour as without it (LLB +10.7% at 64B, +7.5% at 1024B).
-func RTSCTSTable(c Config) repro.Table {
+func rtsctsTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -58,10 +58,10 @@ func RTSCTSTable(c Config) repro.Table {
 	return t
 }
 
-// MinPacketTable regenerates the Section V-B minimum-packet experiment: the
+// minPacketTable regenerates the Section V-B minimum-packet experiment: the
 // smallest payload NS3 allows is 12 bytes (76-byte packets); the same
 // qualitative behaviour must hold (paper: LLB +6.6%, LB +17.8%, STB +20.6%).
-func MinPacketTable(c Config) repro.Table {
+func minPacketTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -80,12 +80,12 @@ func MinPacketTable(c Config) repro.Table {
 	return t
 }
 
-// AblationCapture compares the paper's grid (no capture possible) against
+// ablationCapture compares the paper's grid (no capture possible) against
 // the near/far line layout — the PHY design decision DESIGN.md calls out.
 // The reported metric is the capture count: frames decoded despite
 // overlapping interference. On the grid it must be zero; under near/far
 // geometry the close-in station's frames survive collisions.
-func AblationCapture(c Config) repro.Table {
+func ablationCapture(c Config) repro.Table {
 	n := 30
 	if c.NMax > 0 && c.NMax < n {
 		n = c.NMax
@@ -111,10 +111,10 @@ func AblationCapture(c Config) repro.Table {
 	return t
 }
 
-// AblationAlignment compares the aligned-window abstract model (the
+// ablationAlignment compares the aligned-window abstract model (the
 // analysis's semantics) with per-station windows (the MAC's semantics),
 // now two peer Models behind the public engine.
-func AblationAlignment(c Config) repro.Table {
+func ablationAlignment(c Config) repro.Table {
 	xs := c.nAxis(150, 50)
 	trials := c.trials(15)
 	build := func(model repro.Model) func(x float64) repro.Scenario {
@@ -129,13 +129,13 @@ func AblationAlignment(c Config) repro.Table {
 	return t
 }
 
-// AblationAckTimeout sweeps the ACK-timeout duration (the Section V-B
+// ablationAckTimeout sweeps the ACK-timeout duration (the Section V-B
 // discussion): the aggregate time all stations spend waiting out ACK
 // timeouts for BEB at fixed n. Values below SIFS + ACK duration (~44 µs)
 // would make stations give up before the ACK arrives — the "markedly poor
 // performance" regime the paper observed below 55 µs — so the sweep starts
 // at 50 µs.
-func AblationAckTimeout(c Config) repro.Table {
+func ablationAckTimeout(c Config) repro.Table {
 	n := 100
 	if c.NMax > 0 {
 		n = c.NMax

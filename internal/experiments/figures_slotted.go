@@ -15,9 +15,9 @@ func abstractScenario(algo repro.Algorithm) func(x float64) repro.Scenario {
 	}
 }
 
-// Figure5 regenerates Figure 5: CW slots vs n under the pure abstract model
+// figure5 regenerates Figure 5: CW slots vs n under the pure abstract model
 // (the paper's "simple Java simulation"), 50 trials.
-func Figure5(c Config) repro.Table {
+func figure5(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
 	t := repro.Table{ID: "fig5", Title: "CW slots (abstract model)", XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
@@ -28,12 +28,12 @@ func Figure5(c Config) repro.Table {
 	return t
 }
 
-// Figure15 regenerates Figure 15: CW slots for large n under the abstract
+// figure15 regenerates Figure 15: CW slots for large n under the abstract
 // model, where the asymptotic ordering (STB best, then LLB, LB, BEB)
 // finally separates. The paper sweeps to n = 1e5 with 200 trials; the
 // default here uses coarser steps and fewer trials — pass Config{Trials,
 // NMax, NStep} for full fidelity.
-func Figure15(c Config) repro.Table {
+func figure15(c Config) repro.Table {
 	xs := c.nAxis(100_000, 20_000)
 	t := repro.Table{ID: "fig15", Title: "CW slots at large n (abstract model)", XLabel: "n"}
 	for _, name := range backoff.PaperAlgorithmNames() {
@@ -55,10 +55,10 @@ func Figure15(c Config) repro.Table {
 	return t
 }
 
-// Figure16 regenerates Figure 16: the ratio of median collision counts
+// figure16 regenerates Figure 16: the ratio of median collision counts
 // LB/STB, LLB/STB and BEB/STB as n grows. BEB/STB stays flat (both Θ(n));
 // LB/STB grows quickly; LLB/STB crosses 1 only around n ≈ 3×10^4.
-func Figure16(c Config) repro.Table {
+func figure16(c Config) repro.Table {
 	xs := c.nAxis(100_000, 20_000)
 	trials := c.trials(15)
 
@@ -79,10 +79,10 @@ func Figure16(c Config) repro.Table {
 	return t
 }
 
-// TableIII reports median disjoint-collision counts per algorithm alongside
+// tableIII reports median disjoint-collision counts per algorithm alongside
 // collisions/n, the empirical check of the Section IV bounds (BEB and STB
 // linear; LB, LLB super-linear).
-func TableIII(c Config) repro.Table {
+func tableIII(c Config) repro.Table {
 	if c.NMax == 0 {
 		c.NMax = 32_768
 	}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Figure13 regenerates Figure 13: a single BEB run with 20 stations,
+// figure13 regenerates Figure 13: a single BEB run with 20 stations,
 // rendered as a timeline (transmissions as thick marks, ACK timeouts as
 // thin marks). It returns the rendered timeline and the raw recorder.
-func Figure13(c Config) (string, *trace.Recorder) {
+func figure13(c Config) (string, *trace.Recorder) {
 	rec := &trace.Recorder{}
 	n := 20
 	if c.NMax > 0 && c.NMax < n {
@@ -42,17 +42,17 @@ func Figure13(c Config) (string, *trace.Recorder) {
 	return sb.String(), rec
 }
 
-// RunTrace is Figure13 under ctx — the Run counterpart for the one
+// RunTrace is figure13 under ctx — the Run counterpart for the one
 // experiment that is a timeline rather than a table, with mid-run
 // cancellation returned as an error.
 func RunTrace(ctx context.Context, c Config) (render string, rec *trace.Recorder, err error) {
 	c.Ctx = ctx
 	defer recoverCancelled(&err)
-	render, rec = Figure13(c)
+	render, rec = figure13(c)
 	return render, rec, nil
 }
 
-// Figure14 regenerates Figure 14: the per-trial difference in total time
+// figure14 regenerates Figure 14: the per-trial difference in total time
 // between LLB and BEB at n = 150 as the payload grows from 100 to 1000
 // bytes, with the paper's linear-regression significance test on the trend.
 //
@@ -60,7 +60,7 @@ func RunTrace(ctx context.Context, c Config) (render string, rec *trace.Recorder
 // sweeps both algorithms' scenarios through the engine and folds the diffs
 // into the public Aggregator via Observe, with the outlier filter off (the
 // paper fits the raw per-trial scatter).
-func Figure14(c Config) repro.Table {
+func figure14(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax
@@ -143,9 +143,9 @@ func bestOfKScenario(k int) func(x float64) repro.Scenario {
 	}
 }
 
-// Figure18 regenerates Figure 18: the median BEST-OF-k estimate of n vs the
+// figure18 regenerates Figure 18: the median BEST-OF-k estimate of n vs the
 // true n for k = 3 and k = 5, plus the true-size line.
-func Figure18(c Config) repro.Table {
+func figure18(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
 	trials := c.trials(20)
 
@@ -163,9 +163,9 @@ func Figure18(c Config) repro.Table {
 	return t
 }
 
-// Figure19 regenerates Figure 19: total time (µs) for Best-of-3, Best-of-5
+// figure19 regenerates Figure 19: total time (µs) for Best-of-3, Best-of-5
 // and BEB, 64-byte payload, 20 trials.
-func Figure19(c Config) repro.Table {
+func figure19(c Config) repro.Table {
 	xs := c.nAxis(150, 10)
 	trials := c.trials(20)
 	cfg := mac.DefaultConfig()
@@ -183,10 +183,10 @@ func Figure19(c Config) repro.Table {
 	return t
 }
 
-// DecompositionTable regenerates the Section III-B worked example: the
+// decompositionTable regenerates the Section III-B worked example: the
 // decomposition of BEB's total time at n = 150 into (I) collision
 // transmission time, (II) ACK timeouts, (III) CW slots.
-func DecompositionTable(c Config) repro.Table {
+func decompositionTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax

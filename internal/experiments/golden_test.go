@@ -34,12 +34,12 @@ func goldenCases() []struct {
 		name string
 		tab  repro.Table
 	}{
-		{"fig3_quick", Figure3(Quick())},
-		{"fig7_quick", Figure7(Quick())},
-		{"tab3_quick", TableIII(Config{Trials: 5, NMax: 2048, Seed: 1})},
-		{"fig18_quick", Figure18(Quick())},
-		{"fig19_quick", Figure19(Quick())},
-		{"tput_quick", SaturatedThroughputTable(Config{Trials: 3, NMax: 35, NStep: 25, Seed: 1})},
+		{"fig3_quick", figure3(Quick())},
+		{"fig7_quick", figure7(Quick())},
+		{"tab3_quick", tableIII(Config{Trials: 5, NMax: 2048, Seed: 1})},
+		{"fig18_quick", figure18(Quick())},
+		{"fig19_quick", figure19(Quick())},
+		{"tput_quick", saturatedThroughputTable(Config{Trials: 3, NMax: 35, NStep: 25, Seed: 1})},
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/mac"
 )
 
-// InstantDetectTable explores the paper's Section V-B conjecture: "a
+// instantDetectTable explores the paper's Section V-B conjecture: "a
 // setting where the abstract model may be valid is networks of
 // multi-antenna devices" that can detect collisions without paying a full
 // transmission plus an ACK timeout. The experiment sweeps collision cost
@@ -27,7 +27,7 @@ import (
 // at several slots — with immediate re-contention they collide even more);
 // only when the entire collision event costs about a slot does the
 // abstract ordering (STB, LB, LLB beating BEB) reappear.
-func InstantDetectTable(c Config) repro.Table {
+func instantDetectTable(c Config) repro.Table {
 	n := 150
 	if c.NMax > 0 {
 		n = c.NMax

@@ -14,7 +14,7 @@ func TestInstantDetectSpectrum(t *testing.T) {
 		t.Skip("multi-regime MAC sweep")
 	}
 	c := Config{NMax: 120, Trials: 9, Seed: 3}
-	tab := InstantDetectTable(c)
+	tab := instantDetectTable(c)
 	checkTableBasics(t, tab, paperSeries)
 	if len(tab.Series[0].Points) != 4 {
 		t.Fatalf("expected 4 regimes, got %d points", len(tab.Series[0].Points))
@@ -46,7 +46,7 @@ func TestInstantDetectSpectrum(t *testing.T) {
 
 func TestSaturatedThroughputQuick(t *testing.T) {
 	c := Config{NMax: 20, NStep: 10, Trials: 3, Seed: 4}
-	tab := SaturatedThroughputTable(c)
+	tab := saturatedThroughputTable(c)
 	checkTableBasics(t, tab, []string{"BEB", "LB", "LLB", "STB", "POLY(2)", "Bianchi(BEB)"})
 	// Throughput is positive and below the physical ceiling for all series.
 	for _, s := range tab.Series {

@@ -9,14 +9,14 @@ import (
 	"repro/internal/saturation"
 )
 
-// SaturatedThroughputTable extends the paper toward its related-work
+// saturatedThroughputTable extends the paper toward its related-work
 // setting: saturated stations under continuous traffic (Bianchi's regime,
 // reference [8]). It sweeps n for the four paper algorithms plus quadratic
 // backoff (POLY(2), the candidate of reference [53]) and overlays Bianchi's
 // analytical prediction for BEB. CWmin is 16 (standard DCF): the paper's
 // single-batch CWmin = 1 degenerates to channel capture under saturation
 // (see mac.TestContinuousCaptureWithCWMin1).
-func SaturatedThroughputTable(c Config) repro.Table {
+func saturatedThroughputTable(c Config) repro.Table {
 	xs := c.nAxis(40, 10)
 	trials := c.trials(7)
 	horizon := 150 * time.Millisecond
@@ -50,11 +50,11 @@ func SaturatedThroughputTable(c Config) repro.Table {
 	// Bianchi's model as an analytic overlay for BEB.
 	model := repro.Series{Name: "Bianchi(BEB)"}
 	for _, x := range xs {
-		th, err := saturation.Predict(cfg, int(x))
+		mbps, err := saturation.Predict(cfg, int(x))
 		if err != nil {
 			continue
 		}
-		model.Points = append(model.Points, exactPoint(x, th.Mbps, 1))
+		model.Points = append(model.Points, exactPoint(x, mbps, 1))
 	}
 	t.Series = append(t.Series, model)
 

@@ -22,16 +22,13 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one static check: a name, a doc string, optional
-// flags, and a Run function applied to one package at a time.
+// Analyzer describes one static check: a name, optional flags, and a Run
+// function applied to one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, flags
 	// ("-name.flag=..."), and //replint:allow directives. It must be a
 	// valid Go identifier.
 	Name string
-
-	// Doc is the help text: a one-line summary, a blank line, then detail.
-	Doc string
 
 	// Flags holds analyzer-specific flags. The driver registers each as
 	// "-<name>.<flag>" on its own flag set; analysistest mutates them
@@ -49,12 +46,6 @@ func (a *Analyzer) String() string { return a.Name }
 // Pass is the interface between one analyzer run and the driver: a single
 // type-checked package plus a Report sink.
 type Pass struct {
-	// Analyzer is the analyzer being run.
-	Analyzer *Analyzer
-
-	// Fset maps positions for Files.
-	Fset *token.FileSet
-
 	// Files are the package's syntax trees. The driver has already
 	// excluded _test.go files: every invariant the suite checks is a
 	// non-test-code property, and vet presents test variants as separate
@@ -78,16 +69,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ReportRangef reports a diagnostic spanning rng with a formatted message.
-func (p *Pass) ReportRangef(rng ast.Node, format string, args ...any) {
-	p.Report(Diagnostic{Pos: rng.Pos(), End: rng.End(), Message: fmt.Sprintf(format, args...)})
-}
-
 // Diagnostic is one finding: a position and a message. Category carries
 // the analyzer name once the driver has routed it.
 type Diagnostic struct {
 	Pos      token.Pos
-	End      token.Pos // optional
-	Category string    // analyzer name, filled by the driver
+	Category string // analyzer name, filled by the driver
 	Message  string
 }

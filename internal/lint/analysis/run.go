@@ -56,8 +56,6 @@ func RunAnalyzers(u Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      u.Fset,
 			Files:     files,
 			Pkg:       u.Pkg,
 			TypesInfo: u.Info,

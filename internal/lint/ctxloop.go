@@ -16,10 +16,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// CtxLoop is the cancellation-blind-loop analyzer.
+// CtxLoop finds unbounded for-loops that never observe ctx.Done() or
+// ctx.Err() despite a context being in scope.
 var CtxLoop = &analysis.Analyzer{
 	Name: "ctxloop",
-	Doc:  "find unbounded for-loops that never observe ctx.Done()/ctx.Err() despite a context being in scope",
 	Run:  runCtxLoop,
 }
 
@@ -58,7 +58,7 @@ func runCtxLoop(pass *analysis.Pass) (any, error) {
 				}
 			case *ast.ForStmt:
 				if n.Cond == nil && len(current(scopes)) > 0 && !usesContext(pass.TypesInfo, n, current(scopes)) {
-					pass.ReportRangef(n, "ctxloop: unbounded loop never observes the in-scope context; "+
+					pass.Reportf(n.Pos(), "ctxloop: unbounded loop never observes the in-scope context; "+
 						"cancellation cannot stop it — select on ctx.Done() or check ctx.Err() per iteration")
 				}
 			}

@@ -19,12 +19,11 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// FPGuard is the fingerprint-coverage analyzer.
+// FPGuard proves every field of the fingerprinted structs is read in the
+// fingerprint encoder's call closure.
 var FPGuard = &analysis.Analyzer{
 	Name: "fpguard",
-	Doc: "prove every field of the fingerprinted structs is read in the " +
-		"fingerprint encoder's call closure",
-	Run: runFPGuard,
+	Run:  runFPGuard,
 }
 
 var (

@@ -74,14 +74,7 @@ func TestObsGuard(t *testing.T) {
 // of findings, so a regression anywhere in the tree fails `go test` even
 // before CI's vet step runs.
 func TestSuiteCleanOnModule(t *testing.T) {
-	root, err := loader.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Module(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}

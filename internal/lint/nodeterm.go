@@ -25,12 +25,12 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// NoDeterm is the nondeterminism-source analyzer.
+// NoDeterm forbids wall-clock, global math/rand and env reads in
+// simulation packages, and map-iteration order flowing into results
+// anywhere.
 var NoDeterm = &analysis.Analyzer{
 	Name: "nodeterm",
-	Doc: "forbid wall-clock, global math/rand, env reads in simulation packages, " +
-		"and map-iteration order flowing into results anywhere",
-	Run: runNoDeterm,
+	Run:  runNoDeterm,
 }
 
 // nodetermPkgs lists the packages where check 1 applies (comma-separated
@@ -88,11 +88,11 @@ func checkBannedSources(pass *analysis.Pass, file *ast.File) {
 		path := pn.Imported().Path()
 		switch path {
 		case "math/rand", "math/rand/v2":
-			pass.ReportRangef(se, "nodeterm: %s.%s in a simulation package; use repro/internal/rng "+
+			pass.Reportf(se.Pos(), "nodeterm: %s.%s in a simulation package; use repro/internal/rng "+
 				"(seeded, labelled streams) so equal (scenario, seed) runs stay bit-identical", id.Name, se.Sel.Name)
 		default:
 			if why := bannedSelectors[path][se.Sel.Name]; why != "" {
-				pass.ReportRangef(se, "nodeterm: %s.%s is %s in a simulation package; "+
+				pass.Reportf(se.Pos(), "nodeterm: %s.%s is %s in a simulation package; "+
 					"determinism requires all inputs to flow from (scenario, seed)", id.Name, se.Sel.Name, why)
 			}
 		}
@@ -151,7 +151,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, fnBody *ast.BlockStmt
 
 	var appended []types.Object // outer slices appended to (maybe sorted later)
 	report := func(n ast.Node, what string) {
-		pass.ReportRangef(n, "nodeterm: map iteration order flows into %s; "+
+		pass.Reportf(n.Pos(), "nodeterm: map iteration order flows into %s; "+
 			"map order is randomized per run — collect keys, sort, then iterate", what)
 	}
 

@@ -17,10 +17,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// ObsGuard is the simulation-package observability-boundary analyzer.
+// ObsGuard forbids internal/obs wall-clock and span APIs inside
+// simulation packages.
 var ObsGuard = &analysis.Analyzer{
 	Name: "obsguard",
-	Doc:  "forbid internal/obs wall-clock and span APIs inside simulation packages",
 	Run:  runObsGuard,
 }
 
@@ -76,7 +76,7 @@ func runObsGuard(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			if obsBanned[se.Sel.Name] {
-				pass.ReportRangef(se, "obsguard: %s.%s carries wall-clock time in a simulation package; "+
+				pass.Reportf(se.Pos(), "obsguard: %s.%s carries wall-clock time in a simulation package; "+
 					"emit spans at the engine/harness boundary and export deterministic counters "+
 					"through result structs instead", id.Name, se.Sel.Name)
 			}

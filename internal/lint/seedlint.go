@@ -19,10 +19,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// SeedLint is the seed-arithmetic analyzer.
+// SeedLint flags raw arithmetic on seed values; streams are derived via
+// rng.DeriveSeed/ChildSeed.
 var SeedLint = &analysis.Analyzer{
 	Name: "seedlint",
-	Doc:  "flag raw arithmetic on seed values; derive streams via rng.DeriveSeed/ChildSeed",
 	Run:  runSeedLint,
 }
 
@@ -56,7 +56,7 @@ func runSeedLint(pass *analysis.Pass) (any, error) {
 			case *ast.BinaryExpr:
 				if arithmeticOps[n.Op] {
 					if name := seedOperand(pass.TypesInfo, n.X, n.Y); name != "" {
-						pass.ReportRangef(n, "seedlint: raw arithmetic on seed value %q makes correlated "+
+						pass.Reportf(n.Pos(), "seedlint: raw arithmetic on seed value %q makes correlated "+
 							"or colliding RNG streams; derive with rng.DeriveSeed(seed, label) or Source.ChildSeed", name)
 					}
 				}
@@ -64,13 +64,13 @@ func runSeedLint(pass *analysis.Pass) (any, error) {
 				if arithmeticOps[n.Tok] {
 					ops := append(append([]ast.Expr{}, n.Lhs...), n.Rhs...)
 					if name := seedOperand(pass.TypesInfo, ops...); name != "" {
-						pass.ReportRangef(n, "seedlint: raw arithmetic on seed value %q makes correlated "+
+						pass.Reportf(n.Pos(), "seedlint: raw arithmetic on seed value %q makes correlated "+
 							"or colliding RNG streams; derive with rng.DeriveSeed(seed, label) or Source.ChildSeed", name)
 					}
 				}
 			case *ast.IncDecStmt:
 				if name := seedOperand(pass.TypesInfo, n.X); name != "" {
-					pass.ReportRangef(n, "seedlint: incrementing seed value %q is raw derivation; "+
+					pass.Reportf(n.Pos(), "seedlint: incrementing seed value %q is raw derivation; "+
 						"use rng.DeriveSeed(seed, label) so streams stay independent", name)
 				}
 			}

@@ -1,8 +1,8 @@
 package lint
 
 // sinkerr flags discarded errors on result-bearing sinks. A dropped error
-// from Sink.Write or Store.Put means a figure or cached record silently
-// went missing — the sweep "succeeds" with a hole in its output — and a
+// from a table writer or the store log's Put means a figure or cached
+// record silently went missing — the sweep "succeeds" with a hole in its output — and a
 // dropped Close on a file being written loses the final flush. The
 // sanctioned discard is an explicit `_ = f.Close()` (visible, greppable,
 // reviewable); a bare expression statement or a naked `defer f.Close()`
@@ -15,10 +15,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// SinkErr is the discarded-sink-error analyzer.
+// SinkErr flags discarded errors from Write, Put, Close and the other
+// result-bearing sink methods.
 var SinkErr = &analysis.Analyzer{
 	Name: "sinkerr",
-	Doc:  "flag discarded errors from Sink.Write, Store.Put, Close, and other result-bearing sinks",
 	Run:  runSinkErr,
 }
 
@@ -66,7 +66,7 @@ func runSinkErr(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			pass.ReportRangef(call, "sinkerr: error from %s %s; a dropped sink error means silently "+
+			pass.Reportf(call.Pos(), "sinkerr: error from %s %s; a dropped sink error means silently "+
 				"missing output — handle it, or discard explicitly with `_ = ...%s` and a reason", name, how, name)
 			return true
 		})

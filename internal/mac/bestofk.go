@@ -36,8 +36,6 @@ type BestOfKResult struct {
 	Estimates []int
 	// EstimationTime is the duration of the probing phase.
 	EstimationTime time.Duration
-	// ProbesSent counts dummy transmissions across all stations.
-	ProbesSent int
 }
 
 // RunBestOfK simulates a single batch of n stations running BEST-OF-k (k
@@ -87,7 +85,6 @@ func RunBestOfK(cfg Config, k, n int, g *rng.Source, tracer Tracer) BestOfKResul
 				if p.g.Bernoulli(1 / float64(int(1)<<level)) {
 					p.sent = true
 					sentCount++
-					out.ProbesSent++
 					tx := m.medium.Transmit(m.sts[i].node, cfg.DataRate, bestOfKDummyBytes,
 						Frame{Kind: FrameDummy, Src: i, Dst: APIndex}.Payload())
 					if tracer != nil {
@@ -132,6 +129,7 @@ func RunBestOfK(cfg Config, k, n int, g *rng.Source, tracer Tracer) BestOfKResul
 		}
 	}, nil)
 
-	out.Result = m.collect(m.drain())
+	m.drain()
+	out.Result = m.collect()
 	return out
 }

@@ -107,18 +107,31 @@ func TestBestOfKBeatsBEB(t *testing.T) {
 	}
 }
 
+// probeCounter counts best-of-k's dummy probes as the tracer sees them.
+type probeCounter struct{ probes int }
+
+func (p *probeCounter) TxStart(_ int, kind FrameKind, _, _ time.Duration) {
+	if kind == FrameDummy {
+		p.probes++
+	}
+}
+func (p *probeCounter) Success(int, time.Duration)    {}
+func (p *probeCounter) AckTimeout(int, time.Duration) {}
+
 func TestBestOfKProbesSent(t *testing.T) {
-	res := RunBestOfK(DefaultConfig(), 3, 30, rng.New(10), nil)
-	if res.ProbesSent < 30 {
-		t.Fatalf("only %d probes for 30 stations (level 0 alone sends one each per round)", res.ProbesSent)
+	var pc probeCounter
+	RunBestOfK(DefaultConfig(), 3, 30, rng.New(10), &pc)
+	if pc.probes < 30 {
+		t.Fatalf("only %d probes for 30 stations (level 0 alone sends one each per round)", pc.probes)
 	}
 }
 
 func TestBestOfKDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	a := RunBestOfK(cfg, 3, 25, rng.New(11), nil)
-	b := RunBestOfK(cfg, 3, 25, rng.New(11), nil)
-	if a.TotalTime != b.TotalTime || a.ProbesSent != b.ProbesSent {
+	var pa, pb probeCounter
+	a := RunBestOfK(cfg, 3, 25, rng.New(11), &pa)
+	b := RunBestOfK(cfg, 3, 25, rng.New(11), &pb)
+	if a.TotalTime != b.TotalTime || pa.probes != pb.probes {
 		t.Fatal("same seed diverged")
 	}
 	for i := range a.Estimates {

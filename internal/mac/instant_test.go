@@ -61,7 +61,7 @@ func TestInstantDetectInvariantHolds(t *testing.T) {
 	// The serialization lower bound still applies: successes are unchanged.
 	cfg := instantConfig()
 	res := RunBatch(cfg, 15, backoff.NewSTB, rng.New(4), nil)
-	minTotal := time.Duration(res.N) * cfg.MinPerPacketTime()
+	minTotal := time.Duration(len(res.Stations)) * cfg.MinPerPacketTime()
 	if res.TotalTime < minTotal {
 		t.Fatalf("total %v below serialization bound %v", res.TotalTime, minTotal)
 	}

@@ -51,8 +51,8 @@ func TestLossInflatesTimeoutsBeyondCollisions(t *testing.T) {
 	// alone explain more often than on the clean channel.
 	clean := RunBatch(DefaultConfig(), 40, backoff.NewBEB, rng.New(2), nil)
 	lossy := RunBatch(lossyConfig(0.15), 40, backoff.NewBEB, rng.New(2), nil)
-	excessClean := clean.TotalAckTimeouts - 2*clean.Collisions
-	excessLossy := lossy.TotalAckTimeouts - 2*lossy.Collisions
+	excessClean := totalAckTimeouts(clean) - 2*clean.Collisions
+	excessLossy := totalAckTimeouts(lossy) - 2*lossy.Collisions
 	if excessLossy <= excessClean {
 		t.Fatalf("loss did not add unexplained timeouts: clean excess %d, lossy %d",
 			excessClean, excessLossy)
@@ -76,7 +76,7 @@ func TestLossyChannelSlower(t *testing.T) {
 func TestLossDeterministicGivenSeed(t *testing.T) {
 	a := RunBatch(lossyConfig(0.1), 20, backoff.NewBEB, rng.New(5), nil)
 	b := RunBatch(lossyConfig(0.1), 20, backoff.NewBEB, rng.New(5), nil)
-	if a.TotalTime != b.TotalTime || a.TotalAckTimeouts != b.TotalAckTimeouts {
+	if a.TotalTime != b.TotalTime || totalAckTimeouts(a) != totalAckTimeouts(b) {
 		t.Fatal("lossy runs diverged under the same seed")
 	}
 }

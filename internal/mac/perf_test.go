@@ -54,9 +54,9 @@ func TestBatchResultsPinned(t *testing.T) {
 			t.Errorf("%s n=%d: worst timeouts %d/%v, want %d/%v",
 				c.algo, c.n, res.MaxAckTimeouts, res.MaxAckTimeoutWait, c.maxTimeouts, c.maxTimeoutWait)
 		}
-		if res.Events != c.events {
+		if got := logicalEvents(res.Kernel); got != c.events {
 			t.Errorf("%s n=%d: events %d, want %d (elided slots must be added back)",
-				c.algo, c.n, res.Events, c.events)
+				c.algo, c.n, got, c.events)
 		}
 	}
 }
@@ -91,7 +91,8 @@ func TestBestOfKResultsPinned(t *testing.T) {
 		{lossy, 3, 16, 23, 64, 97, 978, 5, 4742000, 2705000, "740f321a623975ec"},
 	}
 	for _, c := range cases {
-		res := RunBestOfK(c.cfg, c.k, c.n, rng.New(c.seed), nil)
+		var pc probeCounter
+		res := RunBestOfK(c.cfg, c.k, c.n, rng.New(c.seed), &pc)
 		if len(res.Estimates) != c.n {
 			t.Fatalf("k=%d n=%d: %d estimates", c.k, c.n, len(res.Estimates))
 		}
@@ -100,9 +101,9 @@ func TestBestOfKResultsPinned(t *testing.T) {
 				t.Errorf("k=%d n=%d: station %d estimate %d, want %d", c.k, c.n, i, e, c.estimate)
 			}
 		}
-		if res.ProbesSent != c.probes || res.Events != c.events || res.Collisions != c.collisions {
+		if events := logicalEvents(res.Kernel); pc.probes != c.probes || events != c.events || res.Collisions != c.collisions {
 			t.Errorf("k=%d n=%d: probes/events/collisions %d/%d/%d, want %d/%d/%d", c.k, c.n,
-				res.ProbesSent, res.Events, res.Collisions, c.probes, c.events, c.collisions)
+				pc.probes, events, res.Collisions, c.probes, c.events, c.collisions)
 		}
 		if res.TotalTime != c.total || res.HalfTime != c.half {
 			t.Errorf("k=%d n=%d: times %v/%v, want %v/%v", c.k, c.n, res.TotalTime, res.HalfTime, c.total, c.half)
@@ -196,6 +197,10 @@ func TestSlotSkipEquivalence(t *testing.T) {
 				slow := RunBatch(cfg, n, fc.f, rng.New(seed), nil)
 				disableSlotSkip = false
 
+				if a, b := logicalEvents(fast.Kernel), logicalEvents(slow.Kernel); a != b {
+					t.Fatalf("%s n=%d seed=%d: logical event count drifted: %d vs %d",
+						fc.name, n, seed, a, b)
+				}
 				// Kernel is the work profile, not the result: the
 				// fast-forward exists precisely to change it (fewer events
 				// scheduled, slots elided). Compare everything else.
@@ -203,10 +208,6 @@ func TestSlotSkipEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(fast, slow) {
 					t.Fatalf("%s n=%d seed=%d: slot-skip changed the result\nfast: %+v\nslow: %+v",
 						fc.name, n, seed, fast, slow)
-				}
-				if fast.Events != slow.Events {
-					t.Fatalf("%s n=%d seed=%d: logical event count drifted: %d vs %d",
-						fc.name, n, seed, fast.Events, slow.Events)
 				}
 			}
 		}
@@ -222,13 +223,12 @@ func TestSlotSkipElidesEvents(t *testing.T) {
 	for _, s := range m.sts {
 		s.begin()
 	}
-	fired := m.drain()
+	m.drain()
 	if m.elidedSlots == 0 {
 		t.Fatal("fast-forward never engaged on a 30-station batch")
 	}
-	res := m.collect(fired)
-	if res.Events != fired+m.elidedSlots {
-		t.Fatalf("Events %d != fired %d + elided %d", res.Events, fired, m.elidedSlots)
+	if got := m.collect().Kernel.IdleSlotsElided; got != m.elidedSlots {
+		t.Fatalf("Kernel.IdleSlotsElided %d != elided %d", got, m.elidedSlots)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 // Result aggregates one single-batch DCF run.
 type Result struct {
-	N int
 	// TotalTime is when the last station's ACK arrived (paper Figures 7, 8).
 	TotalTime time.Duration
 	// HalfTime is when the ceil(n/2)-th station finished (Figures 9, 10).
@@ -24,10 +23,6 @@ type Result struct {
 	CWSlots int
 	// CWSlotsAtHalf is the CWSlots snapshot at HalfTime (Figure 6).
 	CWSlotsAtHalf int
-	// BackoffAir is the union of time spent with at least one station
-	// counting down; CWSlots ~ BackoffAir/SlotTime when stations stay
-	// aligned.
-	BackoffAir time.Duration
 	// Collisions is the number of disjoint collisions at the AP: maximal
 	// groups of temporally overlapping undecodable access frames.
 	Collisions int
@@ -43,12 +38,8 @@ type Result struct {
 	// MaxAckTimeoutWait is the timeout wait of the station with the most
 	// timeouts (Figure 12).
 	MaxAckTimeoutWait time.Duration
-	// TotalAckTimeouts sums ACK timeouts over all stations.
-	TotalAckTimeouts int
 	// Stations holds the per-station counters.
 	Stations []StationStats
-	// Events is the number of simulator events fired.
-	Events uint64
 	// Kernel is the run's deterministic work profile (see KernelStats).
 	Kernel KernelStats
 }
@@ -90,8 +81,6 @@ type sim struct {
 	lastTick     event.Time
 	lastTickSet  bool
 	backoffCount int // stations currently counting down
-	backoffSince event.Time
-	backoffAir   time.Duration
 
 	// latencies collects per-packet queueing+service delays. Only the
 	// continuous-traffic mode reads it, so only that mode sets
@@ -106,8 +95,8 @@ type sim struct {
 	// otherwise carry timers past the RunUntil horizon.
 	allowSlotSkip bool
 	// elidedSlots counts slot-countdown events the fast-forward proved
-	// equivalent to arithmetic and never fired; Result.Events adds it back
-	// so the reported event count stays a pure function of the scenario.
+	// equivalent to arithmetic and never fired; adding it to the fired
+	// count gives an event count that is a pure function of the scenario.
 	elidedSlots uint64
 	// skipPhases is trySkipSlots's scratch buffer for armed expiry times.
 	skipPhases []event.Time
@@ -200,18 +189,10 @@ func (m *sim) slotTick(now event.Time) {
 	m.cwSlotTicks++
 }
 
-func (m *sim) backoffEnter(now event.Time) {
-	if m.backoffCount == 0 {
-		m.backoffSince = now
-	}
-	m.backoffCount++
-}
+func (m *sim) backoffEnter() { m.backoffCount++ }
 
-func (m *sim) backoffLeave(now event.Time) {
+func (m *sim) backoffLeave() {
 	m.backoffCount--
-	if m.backoffCount == 0 {
-		m.backoffAir += time.Duration(now - m.backoffSince)
-	}
 	if m.backoffCount < 0 {
 		panic("mac: backoff accounting underflow")
 	}
@@ -252,7 +233,8 @@ func RunBatch(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer
 	for _, s := range m.sts {
 		s.begin()
 	}
-	return m.collect(m.drain())
+	m.drain()
+	return m.collect()
 }
 
 // newSim builds the medium, the AP, and n stations on cfg's layout (the
@@ -294,10 +276,9 @@ func newSim(cfg Config, n int, f backoff.Factory, g *rng.Source, tracer Tracer) 
 	return m
 }
 
-// drain runs a batch-shaped simulation until its event queue is empty and
-// returns the number of events fired. Every station must have delivered its
-// packet by then.
-func (m *sim) drain() uint64 {
+// drain runs a batch-shaped simulation until its event queue is empty.
+// Every station must have delivered its packet by then.
+func (m *sim) drain() {
 	n := len(m.sts)
 	fired, drained := m.sched.Run(m.cfg.maxEvents())
 	if !drained {
@@ -306,20 +287,13 @@ func (m *sim) drain() uint64 {
 	if m.finished != n {
 		panic(fmt.Sprintf("mac: only %d of %d stations finished", m.finished, n))
 	}
-	return fired
 }
 
-func (m *sim) collect(fired uint64) Result {
+func (m *sim) collect() Result {
 	res := Result{
-		N:          len(m.sts),
-		TotalTime:  m.lastFinish,
-		HalfTime:   m.halfTime,
-		CWSlots:    m.cwSlotTicks,
-		BackoffAir: m.backoffAir,
-		// Events is the logical event count — slot events the fast-forward
-		// elided are added back, so the value is a pure function of the
-		// scenario, not of kernel optimizations.
-		Events: fired + m.elidedSlots,
+		TotalTime: m.lastFinish,
+		HalfTime:  m.halfTime,
+		CWSlots:   m.cwSlotTicks,
 	}
 	res.Kernel = m.kernelStats()
 	res.CWSlotsAtHalf = m.halfCWSlots
@@ -328,7 +302,6 @@ func (m *sim) collect(fired uint64) Result {
 	res.Stations = make([]StationStats, len(m.sts))
 	for i, s := range m.sts {
 		res.Stations[i] = s.stats
-		res.TotalAckTimeouts += s.stats.AckTimeouts
 	}
 	res.MaxAckTimeouts, res.MaxAckTimeoutWait = maxTimeoutStats(res.Stations)
 	return res

@@ -93,12 +93,10 @@ type station struct {
 
 	state   stationState
 	counter int // remaining backoff slots for the current attempt
-	window  int // current contention window size
 
 	difsTimer *event.Event
 	slotTimer *event.Event
 	respTimer *event.Event
-	sifsTimer *event.Event
 
 	awaitingCTS bool // RTS/CTS mode: true while the pending response is a CTS
 	// useEIFS is set after hearing an undecodable frame (a collision) and
@@ -169,7 +167,6 @@ func (s *station) newAttempt() {
 	if w > s.sim.cfg.CWMax {
 		w = s.sim.cfg.CWMax
 	}
-	s.window = w
 	if w > s.stats.LargestWindow {
 		s.stats.LargestWindow = w
 	}
@@ -206,7 +203,7 @@ func (s *station) onDifsEnd(now event.Time) {
 		return
 	}
 	s.state = stateBackoff
-	s.sim.backoffEnter(now)
+	s.sim.backoffEnter()
 	s.scheduleSlot()
 }
 
@@ -224,14 +221,14 @@ func (s *station) onSlot(now event.Time) {
 	s.stats.BackoffSlots++
 	s.sim.slotTick(now)
 	if s.counter == 0 {
-		s.sim.backoffLeave(now)
+		s.sim.backoffLeave()
 		s.transmitAccess(now)
 		return
 	}
 	if s.node.Busy() {
 		// A transmission began exactly at this slot boundary (processed
 		// earlier in the event round): freeze with the decremented counter.
-		s.sim.backoffLeave(now)
+		s.sim.backoffLeave()
 		s.state = stateFrozen
 		return
 	}
@@ -322,7 +319,7 @@ func (s *station) ChannelBusy(now event.Time) {
 		}
 		s.sim.sched.Cancel(s.slotTimer)
 		s.slotTimer = nil
-		s.sim.backoffLeave(now)
+		s.sim.backoffLeave()
 		s.state = stateFrozen
 	}
 }
@@ -363,12 +360,11 @@ func (s *station) FrameEnd(tx *phy.Tx, ok bool, now event.Time) {
 		s.sim.sched.Cancel(s.respTimer)
 		s.respTimer = nil
 		s.state = stateSifsWait
-		s.sifsTimer = s.sim.sched.ScheduleArg("sifsData", s.sim.cfg.SIFS, handleSifsData, s)
+		s.sim.sched.ScheduleArg("sifsData", s.sim.cfg.SIFS, handleSifsData, s)
 	}
 }
 
 // onSifsData fires a SIFS after a received CTS: the data frame follows.
 func (s *station) onSifsData(now event.Time) {
-	s.sifsTimer = nil
 	s.transmitFrame(now, FrameData)
 }

@@ -131,10 +131,13 @@ func TestAbortAirtimeAccounting(t *testing.T) {
 	ps := StationGrid(2)
 	n0 := m.AddNode(ps[0], &txDoneListener{})
 	n1 := m.AddNode(ps[1], &txDoneListener{})
-	m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
-	m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})
+	txs := []*Tx{m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0}), m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})}
+	for _, tx := range txs {
+		tx.Retain()
+		defer tx.Release()
+	}
 	sched.Run(0)
-	if got := time.Duration(m.TotalAirNs); got != 40*time.Microsecond {
-		t.Fatalf("TotalAir %v, want 40µs (two 20µs aborts)", got)
+	if got := txs[0].Duration() + txs[1].Duration(); got != 40*time.Microsecond {
+		t.Fatalf("airtime %v, want 40µs (two 20µs aborts)", got)
 	}
 }

@@ -97,7 +97,6 @@ type Payload struct {
 type Tx struct {
 	Src     *Node
 	Rate    Rate
-	Bytes   int // PSDU length in octets
 	Start   event.Time
 	End     event.Time
 	Payload Payload // typed MAC frame content
@@ -154,7 +153,6 @@ type Node struct {
 	ID  int
 	Pos Position
 
-	medium    *Medium
 	listener  Listener
 	busyCount int // transmissions currently heard
 	sending   bool
@@ -223,9 +221,7 @@ type Medium struct {
 	// Stats. All are deterministic work counters — pure functions of the
 	// event sequence — and live on the Medium, not the Config, so they
 	// stay outside the fingerprint surface.
-	TotalTx     int
-	TotalAirNs  int64
-	PeakOverlap int
+	TotalTx int
 
 	// Tx pool counters: allocations served from the pool vs cold, objects
 	// returned for reuse, and objects poisoned under CheckTxReuse.
@@ -268,7 +264,7 @@ func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
 // AddNode attaches a radio at pos with the given listener and returns it.
 // All nodes must be added before the first transmission.
 func (m *Medium) AddNode(pos Position, l Listener) *Node {
-	n := &Node{ID: len(m.nodes), Pos: pos, medium: m, listener: l}
+	n := &Node{ID: len(m.nodes), Pos: pos, listener: l}
 	m.nodes = append(m.nodes, n)
 	m.rxMw = nil // invalidate gain and audible-set caches
 	m.aud = nil
@@ -364,7 +360,6 @@ func (m *Medium) recycleTx(t *Tx) {
 	t.interferers = t.interferers[:0]
 	if m.CheckTxReuse {
 		t.Start, t.End = -1, -1
-		t.Bytes = -1
 		m.TxQuarantined++
 		return
 	}
@@ -384,7 +379,7 @@ func (m *Medium) Transmit(src *Node, rate Rate, bytes int, p Payload) *Tx {
 	dur := FrameDuration(rate, bytes)
 	now := m.sched.Now()
 	tx := m.allocTx()
-	tx.Src, tx.Rate, tx.Bytes = src, rate, bytes
+	tx.Src, tx.Rate = src, rate
 	tx.Start, tx.End = now, now+dur
 	tx.Payload = p
 	tx.refs = 1 // the medium's own reference, dropped at the end of endTx
@@ -402,11 +397,7 @@ func (m *Medium) Transmit(src *Node, rate Rate, bytes int, p Payload) *Tx {
 	}
 	tx.activeIdx = len(m.active)
 	m.active = append(m.active, tx)
-	if len(m.active) > m.PeakOverlap {
-		m.PeakOverlap = len(m.active)
-	}
 	m.TotalTx++
-	m.TotalAirNs += int64(dur)
 	src.sending = true
 
 	// Carrier-sense rising edges at every node that can hear the source.
@@ -439,7 +430,6 @@ func (m *Medium) truncate(tx *Tx, at event.Time) {
 		return
 	}
 	m.sched.Cancel(tx.endEv)
-	m.TotalAirNs -= int64(tx.End - at)
 	tx.End = at
 	tx.aborted = true
 	tx.endEv = m.sched.ScheduleArg("phy.txAbort", at-m.sched.Now(), handleTxEnd, tx)

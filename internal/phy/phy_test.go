@@ -371,9 +371,6 @@ func TestMediumStats(t *testing.T) {
 	if m.TotalTx != 3 {
 		t.Fatalf("TotalTx = %d", m.TotalTx)
 	}
-	if m.PeakOverlap != 3 {
-		t.Fatalf("PeakOverlap = %d", m.PeakOverlap)
-	}
 	if m.ActiveCount() != 0 {
 		t.Fatalf("ActiveCount = %d after drain", m.ActiveCount())
 	}

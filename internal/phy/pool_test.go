@@ -120,8 +120,8 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	tx := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 0})
 	sched.Run(0) // no Retain: the medium recycles (here: quarantines) the Tx
 
-	if tx.Bytes != -1 || tx.Start != -1 || tx.Src != nil {
-		t.Fatalf("quarantined Tx not poisoned: bytes %d start %v src %v", tx.Bytes, tx.Start, tx.Src)
+	if tx.Start != -1 || tx.Src != nil {
+		t.Fatalf("quarantined Tx not poisoned: start %v src %v", tx.Start, tx.Src)
 	}
 	for name, f := range map[string]func(){
 		"Duration":        func() { tx.Duration() },

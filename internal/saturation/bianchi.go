@@ -76,27 +76,16 @@ func (mo Model) FixedPoint() (tau, p float64, err error) {
 	return mo.tauOf(p), p, nil
 }
 
-// Throughput holds the model's output.
-type Throughput struct {
-	Tau  float64 // per-slot transmission probability of one station
-	P    float64 // conditional collision probability
-	PTr  float64 // probability a slot holds at least one transmission
-	PS   float64 // probability a transmission slot is a success
-	Mbps float64 // delivered payload megabits per second
-	// Efficiency is payload airtime divided by total time (normalized
-	// saturation throughput S in Bianchi's notation).
-	Efficiency float64
-}
-
-// Predict evaluates Bianchi's throughput formula with cycle durations taken
-// from the MAC configuration: a successful cycle costs frame + SIFS + ACK +
-// DIFS, a collision costs frame + ACK timeout + DIFS (the sender learns of
-// the collision only through its timeout — the paper's central cost).
-func Predict(cfg mac.Config, n int) (Throughput, error) {
+// Predict evaluates Bianchi's throughput formula, in delivered payload
+// megabits per second, with cycle durations taken from the MAC
+// configuration: a successful cycle costs frame + SIFS + ACK + DIFS, a
+// collision costs frame + ACK timeout + DIFS (the sender learns of the
+// collision only through its timeout — the paper's central cost).
+func Predict(cfg mac.Config, n int) (mbps float64, err error) {
 	mo := NewModelFromConfig(cfg, n)
-	tau, p, err := mo.FixedPoint()
+	tau, _, err := mo.FixedPoint()
 	if err != nil {
-		return Throughput{}, err
+		return 0, err
 	}
 	nf := float64(n)
 	ptr := 1 - math.Pow(1-tau, nf)
@@ -108,20 +97,11 @@ func Predict(cfg mac.Config, n int) (Throughput, error) {
 	sigma := cfg.SlotTime.Seconds()
 	ts := (cfg.DataFrameDuration() + cfg.SIFS + cfg.AckDuration() + cfg.DIFS).Seconds()
 	tc := (cfg.DataFrameDuration() + cfg.AckTimeout + cfg.DIFS).Seconds()
-	payloadSec := (cfg.DataFrameDuration() - 0).Seconds() // airtime of the whole frame
 	payloadBits := float64(cfg.PayloadBytes * 8)
 
 	denom := (1-ptr)*sigma + ptr*ps*ts + ptr*(1-ps)*tc
 	if denom <= 0 {
-		return Throughput{}, ErrNoFixedPoint
+		return 0, ErrNoFixedPoint
 	}
-	bitsPerSec := ptr * ps * payloadBits / denom
-	return Throughput{
-		Tau:        tau,
-		P:          p,
-		PTr:        ptr,
-		PS:         ps,
-		Mbps:       bitsPerSec / 1e6,
-		Efficiency: ptr * ps * payloadSec / denom,
-	}, nil
+	return ptr * ps * payloadBits / denom / 1e6, nil
 }

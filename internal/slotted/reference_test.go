@@ -19,7 +19,6 @@ func referenceRunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 	policy.Reset()
 
 	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
 	pending := make([]int, n)
 	for i := range pending {
 		pending[i] = i
@@ -37,8 +36,6 @@ func referenceRunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 		draws = draws[:0]
 		for _, p := range pending {
 			draws = append(draws, draw{slot: g.Intn(w), pkt: p})
-			attempts[p]++
-			res.Attempts++
 		}
 		sort.Slice(draws, func(i, j int) bool { return draws[i].slot < draws[j].slot })
 
@@ -54,7 +51,6 @@ func referenceRunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 				finished++
 				if finished == half && res.HalfSlots == 0 {
 					res.HalfSlots = offset + draws[i].slot + 1
-					res.CollisionsAtHalf = res.Collisions
 				}
 			} else {
 				res.Collisions++
@@ -70,10 +66,6 @@ func referenceRunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 	for _, p := range res.FinishSlots {
 		res.CWSlots = max(res.CWSlots, p)
 	}
-	for _, a := range attempts {
-		res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, a)
-	}
-	res.EmptySlots = max(res.CWSlots-res.SingletonSlots-res.Collisions, 0)
 	return res
 }
 
@@ -81,7 +73,6 @@ func referenceRunBatch(n int, f backoff.Factory, g *rng.Source) Result {
 // groups on the resolution stack. Oracle for RunTreeBatch.
 func referenceRunTreeBatch(n int, g *rng.Source) Result {
 	res := Result{N: n, FinishSlots: make([]int, n)}
-	attempts := make([]int, n)
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
@@ -93,10 +84,6 @@ func referenceRunTreeBatch(n int, g *rng.Source) Result {
 		stack = stack[:len(stack)-1]
 		slot++
 		res.Windows++
-		for _, pkt := range group {
-			attempts[pkt]++
-			res.Attempts++
-		}
 		switch len(group) {
 		case 0:
 		case 1:
@@ -105,7 +92,6 @@ func referenceRunTreeBatch(n int, g *rng.Source) Result {
 			finished++
 			if finished == half && res.HalfSlots == 0 {
 				res.HalfSlots = slot
-				res.CollisionsAtHalf = res.Collisions
 			}
 		default:
 			res.Collisions++
@@ -121,10 +107,6 @@ func referenceRunTreeBatch(n int, g *rng.Source) Result {
 		}
 	}
 	res.CWSlots = slot
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
-	for _, a := range attempts {
-		res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, a)
-	}
 	return res
 }
 

@@ -46,17 +46,8 @@ type Result struct {
 	// Collisions is the number of disjoint collisions: slots holding two or
 	// more transmissions (Section IV's C_A).
 	Collisions int
-	// CollisionsAtHalf counts collisions in slots up to HalfSlots.
-	CollisionsAtHalf int
-	// EmptySlots counts slots up to CWSlots with no transmission.
-	EmptySlots int
 	// SingletonSlots counts slots with exactly one transmission (successes).
 	SingletonSlots int
-	// Attempts is the total number of transmission attempts by all packets.
-	Attempts int
-	// MaxAttemptsPerPacket is the maximum attempts by any single packet; in
-	// the MAC world attempts-1 is that station's ACK-timeout count.
-	MaxAttemptsPerPacket int
 	// FinishSlots holds every packet's 1-based finishing slot in ascending
 	// order. Packets are exchangeable, so a packet is labelled by its
 	// finishing rank rather than by an arrival index.
@@ -66,24 +57,20 @@ type Result struct {
 }
 
 // success records a delivery in global slot s (1-based). Deliveries must
-// arrive in ascending slot order, with every collision in an earlier slot
-// already counted, so the ceil(n/2)-th one fixes the half-way metrics.
+// arrive in ascending slot order, so the ceil(n/2)-th one fixes HalfSlots.
 func (r *Result) success(s int) {
 	r.SingletonSlots++
 	r.FinishSlots = append(r.FinishSlots, s)
 	if len(r.FinishSlots) == (r.N+1)/2 {
 		r.HalfSlots = s
-		r.CollisionsAtHalf = r.Collisions
 	}
 }
 
-// finish derives the makespan metrics once every packet has succeeded.
-// Every singleton and collision slot lies at or before CWSlots by
-// construction: the tail of the final window past the last success is
-// empty and excluded by definition of CWSlots.
+// finish derives the makespan once every packet has succeeded: the tail
+// of the final window past the last success is excluded by definition of
+// CWSlots.
 func (r *Result) finish() {
 	r.CWSlots = r.FinishSlots[len(r.FinishSlots)-1]
-	r.EmptySlots = max(r.CWSlots-r.SingletonSlots-r.Collisions, 0)
 }
 
 // Aligned reports results for the batch-aligned window semantics the
@@ -117,11 +104,9 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) (Result, error) {
 		if w < 1 {
 			panic("slotted: policy returned window < 1")
 		}
-		res.Attempts += m
 
 		// Both branches visit the window's occupied slots in ascending
-		// order, so HalfSlots and CollisionsAtHalf see exactly the
-		// collisions in earlier slots.
+		// order, as success requires.
 		if w <= denseFactor*m {
 			if w > len(tally) {
 				tally = make([]uint8, max(w, 2*len(tally)))
@@ -163,9 +148,6 @@ func RunBatch(n int, f backoff.Factory, g *rng.Source) (Result, error) {
 		}
 		offset += w
 	}
-	// Every packet still pending in the final window took part in every
-	// window.
-	res.MaxAttemptsPerPacket = res.Windows
 	res.finish()
 	return res, nil
 }
@@ -200,7 +182,6 @@ func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) (Result, error) 
 		sts[i] = s
 		h.push(attempt{slot: g.Intn(s.winSize), id: i})
 	}
-	res.Attempts = n
 
 	var ids []int
 	for res.SingletonSlots < n {
@@ -227,11 +208,7 @@ func RunBatchUnaligned(n int, f backoff.Factory, g *rng.Source) (Result, error) 
 			s.winSize = s.policy.NextWindow()
 			h.push(attempt{slot: s.winStart + g.Intn(s.winSize), id: id})
 			s.attempts++
-			res.Attempts++
 		}
-	}
-	for _, s := range sts {
-		res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, s.attempts)
 	}
 	res.finish()
 	return res, nil

@@ -55,23 +55,6 @@ func checkInvariants(t *testing.T, res Result, n int) {
 	if res.HalfSlots < 1 || res.HalfSlots > res.CWSlots {
 		t.Fatalf("HalfSlots %d out of range (makespan %d)", res.HalfSlots, res.CWSlots)
 	}
-	if res.CollisionsAtHalf > res.Collisions {
-		t.Fatalf("CollisionsAtHalf %d > Collisions %d", res.CollisionsAtHalf, res.Collisions)
-	}
-	if res.Attempts < n {
-		t.Fatalf("Attempts %d < n", res.Attempts)
-	}
-	// Each collision consumes >= 2 attempts; attempts = n successes plus
-	// those lost to collisions.
-	if res.Attempts-n < 2*res.Collisions {
-		t.Fatalf("attempts %d inconsistent with %d collisions", res.Attempts, res.Collisions)
-	}
-	if res.MaxAttemptsPerPacket < 1 {
-		t.Fatal("MaxAttemptsPerPacket < 1")
-	}
-	if res.EmptySlots < 0 || res.EmptySlots > res.CWSlots {
-		t.Fatalf("EmptySlots %d out of range", res.EmptySlots)
-	}
 }
 
 func TestRunBatchInvariantsAllAlgorithms(t *testing.T) {
@@ -118,7 +101,7 @@ func TestTwoPacketsAlwaysCollideInWindowOne(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	a := runBatch(t, 50, backoff.NewBEB, rng.New(99))
 	b := runBatch(t, 50, backoff.NewBEB, rng.New(99))
-	if a.CWSlots != b.CWSlots || a.Collisions != b.Collisions || a.Attempts != b.Attempts {
+	if a.CWSlots != b.CWSlots || a.Collisions != b.Collisions {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
@@ -145,15 +128,14 @@ func TestHalfSlotsMatchesFinishOrder(t *testing.T) {
 }
 
 func TestSlotAccounting(t *testing.T) {
-	// Within the makespan: empty + singleton + collision slots <= CWSlots,
-	// and the gap is exactly 0 given EmptySlots is computed as remainder.
+	// Within the makespan, singleton and collision slots are disjoint, so
+	// together they fill at most CWSlots; the rest are empty.
 	g := rng.New(6)
 	for _, spec := range backoff.PaperAlgorithmNames() {
 		f, _ := backoff.Registered(spec)
 		res := runBatch(t, 60, f, g.Derive(f().Name()))
-		total := res.EmptySlots + res.SingletonSlots + res.Collisions
-		if total != res.CWSlots {
-			t.Fatalf("%s: slot accounting %d != makespan %d", f().Name(), total, res.CWSlots)
+		if total := res.SingletonSlots + res.Collisions; total > res.CWSlots {
+			t.Fatalf("%s: slot accounting %d > makespan %d", f().Name(), total, res.CWSlots)
 		}
 	}
 }

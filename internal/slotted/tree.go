@@ -24,42 +24,36 @@ func RunTreeBatch(n int, g *rng.Source) Result {
 	}
 	res := Result{N: n, FinishSlots: make([]int, 0, n)}
 
-	// group is a node of the splitting tree awaiting its slot: size packets
-	// that have each transmitted depth-1 times before.
-	type group struct{ size, depth int }
-	// Depth-first order matches the recursive definition.
-	stack := []group{{n, 1}}
+	// The stack holds the sizes of the splitting tree's groups awaiting
+	// their slots; depth-first order matches the recursive definition.
+	stack := []int{n}
 	slot := 0
 	for len(stack) > 0 {
-		gr := stack[len(stack)-1]
+		size := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		slot++
 		res.Windows++ // each tree node is its own single-slot "window"
-		res.Attempts += gr.size
 
-		switch gr.size {
+		switch size {
 		case 0:
 			// Idle slot.
 		case 1:
-			// A packet transmits once per tree level it passes through.
-			res.MaxAttemptsPerPacket = max(res.MaxAttemptsPerPacket, gr.depth)
 			res.success(slot)
 		default:
 			res.Collisions++
 			left := 0
-			for range gr.size {
+			for range size {
 				if g.Bernoulli(0.5) {
 					left++
 				}
 			}
 			// Depth-first: resolve left before right.
-			stack = append(stack, group{gr.size - left, gr.depth + 1}, group{left, gr.depth + 1})
+			stack = append(stack, size-left, left)
 		}
 	}
 
 	// The tree occupies the channel until its stack drains (trailing empty
 	// right-subtree slots included), so the makespan is the full slot count.
 	res.CWSlots = slot
-	res.EmptySlots = res.CWSlots - res.SingletonSlots - res.Collisions
 	return res
 }

@@ -2,16 +2,14 @@ package stats
 
 import "math"
 
-// Regression holds the result of an ordinary least squares fit
-// y = Intercept + Slope*x.
+// Regression holds the slope of an ordinary least squares fit
+// y = a + Slope*x, its t-test and the fit's R².
 type Regression struct {
-	N           int
-	Slope       float64
-	Intercept   float64
-	SlopeStderr float64
-	TStat       float64 // t statistic for H0: slope == 0
-	PValue      float64 // two-sided p-value with N-2 degrees of freedom
-	R2          float64
+	N      int
+	Slope  float64
+	TStat  float64 // t statistic for H0: slope == 0
+	PValue float64 // two-sided p-value with N-2 degrees of freedom
+	R2     float64
 }
 
 // LinearFit fits y = a + b*x by ordinary least squares and runs a two-sided
@@ -53,7 +51,7 @@ func LinearFit(x, y []float64) (Regression, error) {
 	sigma2 := sse / df
 	se := math.Sqrt(sigma2 / sxx)
 
-	reg := Regression{N: n, Slope: b, Intercept: a, SlopeStderr: se}
+	reg := Regression{N: n, Slope: b}
 	if syy > 0 {
 		reg.R2 = 1 - sse/syy
 	} else {

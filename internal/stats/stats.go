@@ -18,11 +18,6 @@ type Summary struct {
 	N        int
 	Mean     float64
 	Median   float64
-	Min      float64
-	Max      float64
-	Stddev   float64 // sample standard deviation (n-1 denominator)
-	Q1       float64 // first quartile
-	Q3       float64 // third quartile
 	MedianLo float64 // lower bound of the 95% CI of the median
 	MedianHi float64 // upper bound of the 95% CI of the median
 }
@@ -40,26 +35,11 @@ func Summarize(xs []float64) Summary {
 	for _, v := range s {
 		sum += v
 	}
-	mean := sum / float64(len(s))
-	var ss float64
-	for _, v := range s {
-		d := v - mean
-		ss += d * d
-	}
-	sd := 0.0
-	if len(s) > 1 {
-		sd = math.Sqrt(ss / float64(len(s)-1))
-	}
 	lo, hi := medianCISorted(s, 0.95)
 	return Summary{
 		N:        len(s),
-		Mean:     mean,
+		Mean:     sum / float64(len(s)),
 		Median:   quantileSorted(s, 0.5),
-		Min:      s[0],
-		Max:      s[len(s)-1],
-		Stddev:   sd,
-		Q1:       quantileSorted(s, 0.25),
-		Q3:       quantileSorted(s, 0.75),
 		MedianLo: lo,
 		MedianHi: hi,
 	}

