@@ -13,7 +13,9 @@
 //	figures -fig fig15 -trials 50 -nmax 100000 -step 4000   # full fidelity
 //
 // Without fidelity flags each experiment uses its paper-default trial count
-// and axis; -quick switches to the reduced configuration used by tests.
+// and axis; -quick switches to the reduced configuration used by tests
+// (experiments.Quick, seed included), which the flags given alongside it
+// override one by one.
 // Unknown ids anywhere in the -fig list abort with a non-zero exit before
 // anything runs, so a typo cannot silently drop a figure from a batch.
 //
@@ -75,22 +77,28 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// -quick starts from experiments.Quick() whole — the configuration the
+	// tests pin — and a fidelity flag overrides it only when given.
+	var cfg experiments.Config
+	if *quick {
+		cfg = experiments.Quick()
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "trials":
+			cfg.Trials = *trials
+		case "nmax":
+			cfg.NMax = *nmax
+		case "step":
+			cfg.NStep = *step
+		case "seed":
+			cfg.Seed = *seed
+		}
+	})
 	eng := &repro.Engine{Workers: *workers}
-	cfg := experiments.Config{Trials: *trials, NMax: *nmax, NStep: *step, Seed: *seed, Engine: eng}
+	cfg.Engine = eng
 	if *progress {
 		eng.Observer = newProgress(os.Stderr, 2*time.Second)
-	}
-	if *quick {
-		q := experiments.Quick()
-		if cfg.Trials == 0 {
-			cfg.Trials = q.Trials
-		}
-		if cfg.NMax == 0 {
-			cfg.NMax = q.NMax
-		}
-		if cfg.NStep == 0 {
-			cfg.NStep = q.NStep
-		}
 	}
 
 	var store *repro.Store
