@@ -338,15 +338,8 @@ func (a *Aggregator) Finish() *Report {
 // instead of simulating (see Engine.Store); a fully warm grid aggregates to
 // a bit-identical Report while invoking the simulator zero times.
 func (e *Engine) Aggregate(ctx context.Context, scenarios []Scenario, seeds []uint64, metrics ...Metric) (*Report, error) {
-	return e.AggregateSeeded(ctx, scenarios, len(seeds), func(_, ti int) uint64 { return seeds[ti] }, metrics...)
-}
-
-// AggregateSeeded is Aggregate with per-cell seeds supplied by seed — the
-// SweepSeeded counterpart. The figure regenerator uses it to reproduce its
-// legacy per-(series, point, trial) seed ladder exactly.
-func (e *Engine) AggregateSeeded(ctx context.Context, scenarios []Scenario, trials int, seed SeedFunc, metrics ...Metric) (*Report, error) {
 	agg := NewAggregator(metrics...)
-	for cell := range e.SweepSeeded(ctx, scenarios, trials, seed) {
+	for cell := range e.Sweep(ctx, scenarios, seeds) {
 		if err := agg.Add(cell); err != nil {
 			return nil, err
 		}

@@ -141,7 +141,12 @@ func TestAggregateHonorsCancellation(t *testing.T) {
 		cancel()
 		return float64(r.Batch.CWSlots)
 	}}
-	rep, err := (&Engine{}).Aggregate(ctx, scenarios, SequentialSeeds(1, 64), tripwire)
+	rep, err := (&Engine{}).Aggregate(ctx, scenarios, []uint64{
+		1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+		17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+		33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48,
+		49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64,
+	}, tripwire)
 	if rep != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got report %v, err %v; want nil report and context.Canceled", rep, err)
 	}

@@ -144,7 +144,7 @@ func sweepBenchGrid() ([]repro.Scenario, []uint64) {
 	for i, a := range algos {
 		scenarios[i] = repro.Scenario{Model: repro.WiFi(), Algorithm: a, N: 100}
 	}
-	return scenarios, repro.SequentialSeeds(1, 8)
+	return scenarios, []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 }
 
 // sweepAll runs one sweep of the grid on eng and fails b on any cell error
@@ -184,7 +184,7 @@ func BenchmarkSweepAbstract(b *testing.B) {
 		scenarios = append(scenarios, repro.Scenario{Model: repro.Abstract(), Algorithm: a, N: 10000})
 	}
 	scenarios = append(scenarios, repro.Scenario{Model: repro.Abstract(), N: 10000, Workload: repro.TreeWorkload{}})
-	seeds := repro.SequentialSeeds(1, 2)
+	seeds := []uint64{1, 2}
 	eng := repro.Engine{Workers: 1}
 	for i := 0; i < b.N; i++ {
 		sweepAll(b, &eng, scenarios, seeds)

@@ -74,11 +74,10 @@ func main() {
 		}
 	}
 
-	// One grid cell per trial, fanned across the worker pool; the seed
-	// ladder matches the old serial loop (seed, seed+1, ...), so metrics
-	// are unchanged.
+	// One grid cell per trial, fanned across the worker pool, each on its
+	// own seed derived from -seed.
 	var eng repro.Engine
-	seeds := repro.SequentialSeeds(*seed, *trials)
+	seeds := repro.Seeds(*seed, *trials)
 
 	if isBok {
 		runBestOfK(ctx, &eng, s, seeds, bokK, *n, *payload)

@@ -222,35 +222,33 @@ type Engine struct {
 	// Run is always a single synchronous execution.
 	Workers int
 
-	// Store, when non-nil, memoizes grid execution: Sweep, SweepSeeded,
-	// SweepJSON, Aggregate, AggregateSeeded and RunMany serve cells whose
-	// (Scenario.Fingerprint, seed) is already stored by replaying the
-	// persisted Result instead of simulating, write misses through, and
-	// collapse identical in-flight cells into one simulation. Streaming
-	// order, cell values, and reports are bit-identical with or without a
-	// store. Run is always a direct execution (it is the traced-run path,
-	// and a replay would skip trace side effects); scenarios that cannot be
-	// fingerprinted run uncached.
+	// Store, when non-nil, memoizes grid execution: Sweep, SweepJSON,
+	// Aggregate and RunMany serve cells whose (Scenario.Fingerprint, seed)
+	// is already stored by replaying the persisted Result instead of
+	// simulating, write misses through, and collapse identical in-flight
+	// cells into one simulation. Streaming order, cell values, and reports
+	// are bit-identical with or without a store. Run is always a direct
+	// execution (it is the traced-run path, and a replay would skip trace
+	// side effects); scenarios that cannot be fingerprinted run uncached.
 	Store *Store
 
 	// Admit, when non-nil, gates every simulator invocation of the grid
-	// paths (Sweep, SweepSeeded, SweepJSON, RunMany, Aggregate,
-	// AggregateSeeded): it is called just before a cell simulates, and the
-	// release it returns when the simulation finishes. Store replays and
-	// singleflight followers never call it — admission budgets spend on
-	// simulations, not on cache traffic — which is what lets a serving
-	// layer bound concurrent simulation work globally while warm requests
-	// stay unthrottled (internal/serve). An Admit error fails the cell with
-	// that error. Admit must be safe for concurrent use; blocking
-	// implementations should honor ctx so cancelled sweeps stop waiting for
-	// budget. Run does not consult Admit (it is the synchronous
-	// single-execution path).
+	// paths (Sweep, SweepJSON, RunMany, Aggregate): it is called just
+	// before a cell simulates, and the release it returns when the
+	// simulation finishes. Store replays and singleflight followers never
+	// call it — admission budgets spend on simulations, not on cache
+	// traffic — which is what lets a serving layer bound concurrent
+	// simulation work globally while warm requests stay unthrottled
+	// (internal/serve). An Admit error fails the cell with that error.
+	// Admit must be safe for concurrent use; blocking implementations
+	// should honor ctx so cancelled sweeps stop waiting for budget. Run
+	// does not consult Admit (it is the synchronous single-execution path).
 	Admit func(ctx context.Context) (release func(), err error)
 
 	// Observer, when non-nil, receives a CellInfo for every completed grid
-	// cell (Sweep, SweepSeeded, SweepJSON, RunMany, and the aggregation
-	// paths built on them): admit wait, store hit/miss, simulate and
-	// write-through durations, and the run's deterministic kernel profile.
+	// cell (Sweep, SweepJSON, RunMany, and the aggregation path built on
+	// them): admit wait, store hit/miss, simulate and write-through
+	// durations, and the run's deterministic kernel profile.
 	// Observation is passive — cell values, streaming order, goldens, and
 	// fingerprints are identical with or without one — and strictly
 	// pay-for-use: a nil Observer takes the exact uninstrumented path, with

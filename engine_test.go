@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -103,5 +104,51 @@ func TestEngineRunManyOrderAndError(t *testing.T) {
 	}
 	if results[1].Batch == nil {
 		t.Error("valid scenario result missing after sibling error")
+	}
+}
+
+// TestEngineRunManyRawSeedCells pins the path the figure regenerator takes:
+// a RunMany cell carrying WithRawSeed() + WithSeed(s) equals a serial
+// Engine.Run of the same scenario and differs from the derived-seed run;
+// and with a Store, RunMany of sc.WithOptions(WithSeed(k)) replays the
+// record Sweep([]Scenario{sc}, []uint64{k}) wrote, so figure stores keep
+// their keys.
+func TestEngineRunManyRawSeedCells(t *testing.T) {
+	ctx := t.Context()
+	sc := Scenario{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 50,
+		Options: []Option{WithRawSeed()}}
+	cell := sc.WithOptions(WithSeed(99))
+	var eng Engine
+	many, err := eng.RunMany(ctx, []Scenario{cell})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial := mustRun(t, cell); !reflect.DeepEqual(many[0], serial) {
+		t.Errorf("RunMany raw-seed cell diverged from serial Run:\n%+v\n%+v", *many[0].Batch, *serial.Batch)
+	}
+	derived := mustRun(t, Scenario{Model: sc.Model, Algorithm: sc.Algorithm, N: sc.N,
+		Options: []Option{WithSeed(99)}})
+	if reflect.DeepEqual(many[0], derived) {
+		t.Error("raw-seed RunMany cell equals the derived-seed run")
+	}
+
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng.Store = st
+	const k = 7
+	swept := drain(t, eng.Sweep(ctx, []Scenario{sc}, []uint64{k}))
+	misses := st.Stats().Misses
+	replayed, err := eng.RunMany(ctx, []Scenario{sc.WithOptions(WithSeed(k))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Misses != misses || s.Hits != 1 {
+		t.Errorf("RunMany after Sweep: hits=%d misses=%d (was %d), want a replay", s.Hits, s.Misses, misses)
+	}
+	if !reflect.DeepEqual(replayed[0], swept[0].Result) {
+		t.Error("replayed RunMany cell differs from the swept cell")
 	}
 }

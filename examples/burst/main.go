@@ -46,7 +46,7 @@ func main() {
 	}
 	aggs := make([]agg, len(scenarios))
 	var eng repro.Engine
-	for cell := range eng.Sweep(context.Background(), scenarios, repro.SequentialSeeds(0, *trials)) {
+	for cell := range eng.Sweep(context.Background(), scenarios, repro.Seeds(0, *trials)) {
 		if cell.Err != nil {
 			log.Fatal(cell.Err)
 		}

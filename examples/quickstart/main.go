@@ -42,7 +42,7 @@ func main() {
 	var eng repro.Engine
 	slots := make([][]float64, len(scenarios))  // CW slots per cell
 	totals := make([][]float64, len(scenarios)) // wifi total time per cell
-	for cell := range eng.Sweep(context.Background(), scenarios, repro.SequentialSeeds(0, trials)) {
+	for cell := range eng.Sweep(context.Background(), scenarios, repro.Seeds(0, trials)) {
 		if cell.Err != nil {
 			panic(cell.Err)
 		}

@@ -44,7 +44,7 @@ func main() {
 			}
 		}
 		perTrial := make([][]repro.BatchResult, 2)
-		for cell := range eng.Sweep(context.Background(), scenarios, repro.SequentialSeeds(0, *trials)) {
+		for cell := range eng.Sweep(context.Background(), scenarios, repro.Seeds(0, *trials)) {
 			if cell.Err != nil {
 				log.Fatal(cell.Err)
 			}

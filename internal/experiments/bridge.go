@@ -1,18 +1,17 @@
 package experiments
 
 // Bridge from figure definitions to the public aggregation pipeline. Every
-// figure series is a grid of public Scenarios — one per x — swept through
-// Engine.AggregateSeeded, so the figures share the engine's worker pool and
-// the paper's one stats procedure (median, 95% CI, 1.5·IQR filter) with API
-// users.
+// figure series is a list of public Scenarios — one per (x, trial) — run
+// through Engine.RunMany and folded into a repro.Aggregator, so the figures
+// share the engine's worker pool, store and the paper's one stats procedure
+// (median, 95% CI, 1.5·IQR filter) with API users.
 //
-// The seed plumbing is the load-bearing part: the retired harness.SweepSpec
-// path derived one RNG stream per (series, x, trial) from the label
-// "<series>|x=<x>|trial=<t>" and fed it straight into the simulator. The
-// scenarios here carry WithRawSeed, so the grid seed from legacySeeds — the
-// same derived value — again reaches the simulator verbatim, making every
-// trial, and therefore every figure, bit-identical across the migration
-// (golden_test.go holds the pinned outputs).
+// Seeding: trial t at point x of series name runs on the RNG stream
+// rng.DeriveSeed(Config.Seed, "<name>|x=<x>|trial=<t>") — trialSeed. Each
+// scenario carries WithRawSeed plus WithSeed(trialSeed(...)), so that stream
+// reaches the simulator verbatim instead of being re-derived per (model,
+// algorithm, n). The figure goldens (golden_test.go) and quick.digests
+// (digests_test.go) pin these labels.
 
 import (
 	"fmt"
@@ -29,13 +28,9 @@ func (c Config) engine() *repro.Engine {
 	return &repro.Engine{}
 }
 
-// legacySeeds reproduces the legacy per-trial stream ladder of the series
-// as a sweep-grid SeedFunc: cell (si, ti) gets the stream the old harness
-// derived for point xs[si], trial ti.
-func legacySeeds(seed uint64, name string, xs []float64) repro.SeedFunc {
-	return func(si, ti int) uint64 {
-		return rng.DeriveSeed(seed, fmt.Sprintf("%s|x=%v|trial=%d", name, xs[si], ti))
-	}
+// trialSeed is the RNG stream of trial t at point x of the named series.
+func trialSeed(seed uint64, name string, x float64, t int) uint64 {
+	return rng.DeriveSeed(seed, fmt.Sprintf("%s|x=%v|trial=%d", name, x, t))
 }
 
 // batchMetric lifts a BatchResult extractor into a public Metric. It
@@ -52,27 +47,44 @@ func batchMetric(name string, f func(repro.BatchResult) float64) repro.Metric {
 	}}
 }
 
-// series sweeps one figure series — the Scenario build(x) at every x, with
-// trials cells per point — through Engine.AggregateSeeded on the legacy
-// seed ladder, and shapes the report into a repro.Series for rendering.
-// Figure definitions are static, so any scenario error is a bug: it panics
-// rather than returning a hollow table.
+// series runs one figure series — the Scenario build(x) at every x, with
+// trials cells per point, each on its trialSeed stream — and summarizes each
+// point's trials in trial order into a repro.Series for rendering. Figure
+// definitions are static, so any scenario error is a bug: it panics rather
+// than returning a hollow table.
 func (c Config) series(name string, xs []float64, trials int, m repro.Metric,
 	build func(x float64) repro.Scenario) repro.Series {
 	if trials < 1 {
 		panic("experiments: series needs trials >= 1")
 	}
-	scenarios := make([]repro.Scenario, len(xs))
-	for i, x := range xs {
-		scenarios[i] = build(x).WithOptions(repro.WithRawSeed())
+	scenarios := make([]repro.Scenario, 0, len(xs)*trials)
+	for _, x := range xs {
+		sc := build(x)
+		for t := 0; t < trials; t++ {
+			scenarios = append(scenarios,
+				sc.WithOptions(repro.WithRawSeed(), repro.WithSeed(trialSeed(c.Seed, name, x, t))))
+		}
 	}
-	rep, err := c.engine().AggregateSeeded(c.ctx(), scenarios, trials,
-		legacySeeds(c.Seed, name, xs), m)
+	results := c.runMany("series "+name, scenarios)
+	agg := repro.NewAggregator(m)
+	for i, r := range results {
+		if err := agg.Observe(i/trials, m.Extract(r)); err != nil {
+			panic(err)
+		}
+	}
+	return reportSeries(name, xs, agg.Finish())
+}
+
+// runMany runs a figure's scenarios through the engine in one batch,
+// turning a cancellation into the cancelled sentinel and any other error
+// (labelled with what) into a panic.
+func (c Config) runMany(what string, scenarios []repro.Scenario) []repro.Result {
+	results, err := c.engine().RunMany(c.ctx(), scenarios)
 	if err != nil {
 		c.checkCancelled(err)
-		panic(fmt.Sprintf("experiments: series %s: %v", name, err))
+		panic(fmt.Sprintf("experiments: %s: %v", what, err))
 	}
-	return reportSeries(name, xs, rep)
+	return results
 }
 
 // reportSeries converts a one-metric report over an x-axis grid into a
@@ -94,8 +106,8 @@ func exactPoint(x, v float64, trials int) repro.Point {
 	return repro.Point{X: x, PointSummary: repro.PointSummary{Median: v, CI95Lo: v, CI95Hi: v, Mean: v, Trials: trials}}
 }
 
-// wholeConfig returns an option pinning the full MAC configuration, the way
-// the legacy figure harness built each run's config directly.
+// wholeConfig returns an option pinning the full MAC configuration a figure
+// builds, replacing the engine's defaults wholesale.
 func wholeConfig(cfg repro.MACConfig) repro.Option {
 	return repro.WithConfig(func(m *repro.MACConfig) { *m = cfg })
 }

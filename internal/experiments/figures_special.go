@@ -23,7 +23,7 @@ func figure13(c Config) (string, *trace.Recorder) {
 		n = c.NMax
 	}
 	// A single traced run goes through Engine.Run (sweeps reject tracers);
-	// the raw seed reproduces the legacy "fig13" stream.
+	// the raw seed makes the "fig13" label's stream the simulator's own.
 	sc := repro.Scenario{Model: repro.WiFi(), Algorithm: repro.MustAlgorithm("BEB"), N: n,
 		Options: []repro.Option{
 			repro.WithRawSeed(),
@@ -71,55 +71,37 @@ func figure14(c Config) repro.Table {
 	}
 	trials := c.trials(30)
 
-	// Scenario pairs: cell (2p, t) is LLB at payload p, (2p+1, t) its BEB
-	// mate. The legacy harness derived one stream per (payload, trial) and
-	// split it with Derive("llb")/Derive("beb"); ChildSeed transports those
-	// exact child streams through the grid as raw seeds.
-	scenarios := make([]repro.Scenario, 0, 2*len(payloads))
+	// Scenario pairs, payload-major then trial: scenario 2i is LLB, 2i+1 its
+	// BEB mate. Both draw on one (payload, trial) stream, split into the
+	// child streams "llb" and "beb".
+	scenarios := make([]repro.Scenario, 0, 2*len(payloads)*trials)
 	for _, p := range payloads {
 		cfg := mac.DefaultConfig()
 		cfg.PayloadBytes = int(p)
-		for _, algo := range []string{"LLB", "BEB"} {
-			scenarios = append(scenarios, repro.Scenario{
-				Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(algo), N: n,
-				Options: []repro.Option{wholeConfig(cfg), repro.WithRawSeed()},
-			})
+		for t := 0; t < trials; t++ {
+			base := rng.New(trialSeed(c.Seed, "LLB-BEB", p, t))
+			for _, algo := range []string{"LLB", "BEB"} {
+				scenarios = append(scenarios, repro.Scenario{
+					Model: repro.WiFi(), Algorithm: repro.MustAlgorithm(algo), N: n,
+					Options: []repro.Option{wholeConfig(cfg), repro.WithRawSeed(),
+						repro.WithSeed(base.ChildSeed(strings.ToLower(algo)))},
+				})
+			}
 		}
 	}
-	seed := func(si, ti int) uint64 {
-		base := rng.New(rng.DeriveSeed(c.Seed, fmt.Sprintf("LLB-BEB|x=%v|trial=%d", payloads[si/2], ti)))
-		if si%2 == 0 {
-			return base.ChildSeed("llb")
-		}
-		return base.ChildSeed("beb")
-	}
-
-	totals := make([][]float64, len(scenarios))
-	for i := range totals {
-		totals[i] = make([]float64, trials)
-	}
-	for cell := range c.engine().SweepSeeded(c.ctx(), scenarios, trials, seed) {
-		if cell.Err != nil {
-			c.checkCancelled(cell.Err)
-			panic(fmt.Sprintf("experiments: fig14: %v", cell.Err))
-		}
-		totals[cell.ScenarioIndex][cell.SeedIndex] = us(cell.Result.Batch.TotalTime)
-	}
-	// A cancelled sweep closes the stream early without an error cell.
-	c.checkCancelled(c.ctx().Err())
+	results := c.runMany("fig14", scenarios)
 
 	agg := repro.NewAggregator(repro.Metric{Name: "llb_minus_beb_us"})
 	agg.KeepOutliers = true // the paper fits raw per-trial scatter
 	var xs, ys []float64    // the full scatter, for the regression below
-	for pi := range payloads {
-		for ti := 0; ti < trials; ti++ {
-			d := totals[2*pi][ti] - totals[2*pi+1][ti]
-			if err := agg.Observe(pi, d); err != nil {
-				panic(err)
-			}
-			xs = append(xs, payloads[pi])
-			ys = append(ys, d)
+	for i := 0; i < len(results); i += 2 {
+		pi := i / 2 / trials
+		d := us(results[i].Batch.TotalTime) - us(results[i+1].Batch.TotalTime)
+		if err := agg.Observe(pi, d); err != nil {
+			panic(err)
 		}
+		xs = append(xs, payloads[pi])
+		ys = append(ys, d)
 	}
 	series := reportSeries("LLB-BEB", payloads, agg.Finish())
 
@@ -207,8 +189,8 @@ func decompositionTable(c Config) repro.Table {
 	for _, name := range order {
 		m := metrics[name]
 		metric := batchMetric(name, func(r repro.BatchResult) float64 { return m(*r.Decomposition) })
-		// Each component is its own series with its own legacy streams, so
-		// the five rows are five independent repetitions, as before.
+		// Each component is its own series with its own trialSeed streams, so
+		// the five rows are five independent repetitions.
 		t.Series = append(t.Series,
 			c.series(name, []float64{float64(n)}, trials, metric, macScenario(cfg, repro.MustAlgorithm("BEB"))))
 	}

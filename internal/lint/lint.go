@@ -8,7 +8,7 @@
 // A finding that is genuinely sanctioned — a documented exception, not an
 // oversight — is suppressed in place with a justified directive:
 //
-//	//replint:allow seedlint — the sanctioned legacy seed ladder
+//	//replint:allow sinkerr — best-effort cleanup; the real error was already returned
 //
 // on the flagged line or the line above it.
 package lint

@@ -7,8 +7,7 @@ package lint
 // (seed+trial, seed*31^n) produces correlated or colliding streams that
 // no test will catch — two different cells can silently share an RNG
 // sequence. All derivation goes through rng.DeriveSeed / Source.ChildSeed
-// (label-hashed, collision-structured); the one sanctioned exception is
-// the documented legacy ladder, annotated with //replint:allow.
+// (label-hashed, collision-structured), with no exception in the module.
 
 import (
 	"go/ast"

@@ -30,7 +30,7 @@ func TestAggregateGolden(t *testing.T) {
 			scenarios = append(scenarios, repro.Scenario{Model: model, Algorithm: repro.MustAlgorithm("BEB"), N: n})
 		}
 	}
-	rep, err := (&repro.Engine{}).Aggregate(context.Background(), scenarios, repro.SequentialSeeds(1, 5),
+	rep, err := (&repro.Engine{}).Aggregate(context.Background(), scenarios, []uint64{1, 2, 3, 4, 5},
 		repro.MakespanSlots(), repro.TotalTime(), repro.CollisionRate())
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ type CellInfo struct {
 }
 
 // Observer receives one callback per completed grid cell from Sweep,
-// SweepSeeded, SweepJSON, RunMany, and the aggregation paths. Implementations must be
+// SweepJSON, RunMany, and the aggregation path. Implementations must be
 // safe for concurrent use — cells complete on the engine's worker pool —
 // and should return quickly; a slow observer backpressures the sweep.
 //

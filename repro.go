@@ -137,11 +137,11 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
 // WithRawSeed makes the model consume the run's seed verbatim as its RNG
 // stream seed instead of deriving a per-(model, algorithm, n) stream from
-// it. It exists for byte-exact migrations of legacy harnesses that derive
-// their own per-trial streams outside the engine (the figure regenerator
-// does; see internal/experiments). Equal raw seeds produce correlated runs
-// across different scenarios, so new code should keep the default
-// derivation and let the engine decorrelate.
+// it. It serves the figure regenerator (internal/experiments), which
+// derives its own per-(series, point, trial) streams and hands each to the
+// engine with WithSeed. Equal raw seeds produce correlated runs across
+// different scenarios, so other code should keep the default derivation
+// and let the engine decorrelate.
 func WithRawSeed() Option { return func(o *options) { o.rawSeed = true } }
 
 // WithPayload sets the application payload size in bytes (default 64, the

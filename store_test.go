@@ -203,7 +203,7 @@ func drain(t *testing.T, ch <-chan Cell) []Cell {
 func TestSweepCachedBitIdentical(t *testing.T) {
 	var runs atomic.Int64
 	grid := storeGrid(countingModel{WiFi(), &runs}, countingModel{Abstract(), &runs})
-	seeds := SequentialSeeds(1, 3)
+	seeds := []uint64{1, 2, 3}
 	dir := t.TempDir()
 
 	st, err := OpenStore(dir)
@@ -289,7 +289,7 @@ func TestAggregateCachedReport(t *testing.T) {
 func TestStoreRecoversFromTornTail(t *testing.T) {
 	var runs atomic.Int64
 	grid := []Scenario{{Model: countingModel{WiFi(), &runs}, Algorithm: MustAlgorithm("BEB"), N: 15}}
-	seeds := SequentialSeeds(1, 4)
+	seeds := []uint64{1, 2, 3, 4}
 	dir := t.TempDir()
 
 	st, err := OpenStore(dir)
@@ -339,7 +339,7 @@ func TestStoreRecoversFromTornTail(t *testing.T) {
 func TestConcurrentSweepsShareOneStore(t *testing.T) {
 	var runs atomic.Int64
 	grid := storeGrid(countingModel{WiFi(), &runs}, countingModel{Abstract(), &runs})
-	seeds := SequentialSeeds(3, 4)
+	seeds := []uint64{3, 4, 5, 6}
 	wantCells := len(grid) * len(seeds)
 
 	// Reference cells from an uncached serial run.
@@ -455,7 +455,7 @@ func TestStoreLeaderPanicReleasesFollowers(t *testing.T) {
 func TestNonCanonicalRecordResimulated(t *testing.T) {
 	var runs atomic.Int64
 	grid := []Scenario{{Model: countingModel{WiFi(), &runs}, Algorithm: MustAlgorithm("BEB"), N: 10}}
-	seeds := SequentialSeeds(1, 3)
+	seeds := []uint64{1, 2, 3}
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -569,7 +569,7 @@ func TestOpenStoreRegistry(t *testing.T) {
 func TestAdmitGatesSimulationsOnly(t *testing.T) {
 	var runs, admits atomic.Int64
 	grid := storeGrid(countingModel{WiFi(), &runs}, countingModel{Abstract(), &runs})
-	seeds := SequentialSeeds(3, 2)
+	seeds := []uint64{3, 4}
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -623,7 +623,7 @@ func TestAdmitBoundsConcurrency(t *testing.T) {
 		}, nil
 	}}
 	grid := []Scenario{{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 200}}
-	drain(t, eng.Sweep(context.Background(), grid, SequentialSeeds(1, 16)))
+	drain(t, eng.Sweep(context.Background(), grid, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}))
 	if p := peak.Load(); p != 1 {
 		t.Fatalf("peak concurrent simulations = %d, want 1", p)
 	}

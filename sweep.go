@@ -51,25 +51,6 @@ func Seeds(base uint64, n int) []uint64 {
 	return out
 }
 
-// SequentialSeeds returns seed, seed+1, ..., seed+n-1: the seed ladder
-// the legacy per-trial loops used (WithSeed(seed + trial)), for byte-exact
-// migrations of existing experiments. New code should prefer Seeds, whose
-// hashed derivation keeps ladders from different bases disjoint.
-func SequentialSeeds(seed uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		//replint:allow seedlint — the sanctioned legacy ladder: consecutive seeds ARE its contract
-		out[i] = seed + uint64(i)
-	}
-	return out
-}
-
-// SeedFunc supplies the seed for the sweep-grid cell at scenario index si,
-// trial index ti. It generalizes the flat seed list of Sweep for grids whose
-// seed ladder varies per scenario — notably the figure regenerator, whose
-// legacy per-trial streams are a function of both the series and the point.
-type SeedFunc func(si, ti int) uint64
-
 // Sweep runs every scenario × seed cell of the grid on the engine's worker
 // pool and streams the cells in stable row-major order: all seeds of
 // scenario 0, then scenario 1, and so on, regardless of which worker
@@ -91,15 +72,7 @@ type SeedFunc func(si, ti int) uint64
 // (Scenario.Fingerprint, seed) and replayed from the log on a hit; see
 // Engine.Store. Order and cell values are identical either way.
 func (e *Engine) Sweep(ctx context.Context, scenarios []Scenario, seeds []uint64) <-chan Cell {
-	return e.SweepSeeded(ctx, scenarios, len(seeds), func(_, ti int) uint64 { return seeds[ti] })
-}
-
-// SweepSeeded is Sweep with the per-cell seeds supplied by seed instead of
-// one shared seed list: cell (si, ti) runs scenarios[si] reseeded with
-// seed(si, ti). Ordering, cancellation, and tracer-rejection semantics are
-// those of Sweep.
-func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials int, seed SeedFunc) <-chan Cell {
-	return e.sweep(ctx, scenarios, trials, seed, true)
+	return e.sweep(ctx, scenarios, seeds, true)
 }
 
 // SweepJSON is Sweep for consumers that want each Result as JSON — the
@@ -109,15 +82,16 @@ func (e *Engine) SweepSeeded(ctx context.Context, scenarios []Scenario, trials i
 // just encoded. Cells without a store, and failed cells, carry Result (or
 // Err) as in Sweep. Ordering and cancellation are those of Sweep.
 func (e *Engine) SweepJSON(ctx context.Context, scenarios []Scenario, seeds []uint64) <-chan Cell {
-	return e.sweep(ctx, scenarios, len(seeds), func(_, ti int) uint64 { return seeds[ti] }, false)
+	return e.sweep(ctx, scenarios, seeds, false)
 }
 
-// sweep is the one sweep core behind Sweep, SweepSeeded and SweepJSON:
-// the worker pool, the stable slot order and cancellation. decode selects
-// what a store-served cell carries: its Result, or (for SweepJSON) its
-// payload in Cell.JSON.
-func (e *Engine) sweep(ctx context.Context, scenarios []Scenario, trials int, seed SeedFunc, decode bool) <-chan Cell {
+// sweep is the one sweep core behind Sweep and SweepJSON: the worker pool,
+// the stable slot order and cancellation. Cell (si, ti) runs scenarios[si]
+// with seeds[ti]. decode selects what a store-served cell carries: its
+// Result, or (for SweepJSON) its payload in Cell.JSON.
+func (e *Engine) sweep(ctx context.Context, scenarios []Scenario, seeds []uint64, decode bool) <-chan Cell {
 	out := make(chan Cell)
+	trials := len(seeds)
 	cells := len(scenarios) * trials
 	if cells <= 0 {
 		close(out)
@@ -136,7 +110,7 @@ func (e *Engine) sweep(ctx context.Context, scenarios []Scenario, trials int, se
 	go func() {
 		forEach(e.Workers, cells, func(i int) {
 			si, ji := i/trials, i%trials
-			c := Cell{ScenarioIndex: si, SeedIndex: ji, Seed: seed(si, ji)}
+			c := Cell{ScenarioIndex: si, SeedIndex: ji, Seed: seeds[ji]}
 			if err := ctx.Err(); err != nil {
 				c.Err = err
 			} else if err := rejectTracer(scenarios[si]); err != nil {

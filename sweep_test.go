@@ -102,7 +102,7 @@ func TestSweepCancelledBeforeStart(t *testing.T) {
 	var eng Engine
 	scenarios := []Scenario{{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 20}}
 	cells := 0
-	for range eng.Sweep(ctx, scenarios, SequentialSeeds(0, 8)) {
+	for range eng.Sweep(ctx, scenarios, []uint64{0, 1, 2, 3, 4, 5, 6, 7}) {
 		cells++
 	}
 	if cells != 0 {
@@ -117,7 +117,7 @@ func TestSweepCancelMidSweep(t *testing.T) {
 	defer cancel()
 	eng := Engine{Workers: 2}
 	scenarios := []Scenario{{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 30}}
-	seeds := SequentialSeeds(0, 16)
+	seeds := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	got := 0
 	for cell := range eng.Sweep(ctx, scenarios, seeds) {
 		if cell.Err != nil {
@@ -187,14 +187,11 @@ func TestSeedDerivation(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if got := SequentialSeeds(10, 3); got[0] != 10 || got[1] != 11 || got[2] != 12 {
-		t.Errorf("SequentialSeeds(10,3) = %v", got)
-	}
 }
 
 // TestSeedsNoCollisionsAtGridScale derives a 10k-trial grid's worth of
 // seeds — the scale of a full-fidelity figure — and demands they never
-// collide, for Seeds ladders from several bases and for SequentialSeeds.
+// collide, for Seeds ladders from several bases.
 func TestSeedsNoCollisionsAtGridScale(t *testing.T) {
 	const trials = 10_000
 	for _, base := range []uint64{0, 1, 42, 1 << 60} {
@@ -205,13 +202,6 @@ func TestSeedsNoCollisionsAtGridScale(t *testing.T) {
 			}
 			seen[s] = i
 		}
-	}
-	seen := make(map[uint64]bool, trials)
-	for _, s := range SequentialSeeds(7, trials) {
-		if seen[s] {
-			t.Fatalf("SequentialSeeds collided at %d", s)
-		}
-		seen[s] = true
 	}
 }
 
@@ -226,45 +216,10 @@ func TestSeedsDeterministicPrefix(t *testing.T) {
 	}
 }
 
-// TestSweepSeededPerScenarioLadders: SweepSeeded must hand each cell the
-// seed its SeedFunc names — per scenario AND per trial — and the resulting
-// cells must match serial Engine.Run calls with those seeds.
-func TestSweepSeededPerScenarioLadders(t *testing.T) {
-	scenarios := []Scenario{
-		{Model: Abstract(), Algorithm: MustAlgorithm("BEB"), N: 20},
-		{Model: Abstract(), Algorithm: MustAlgorithm("STB"), N: 30},
-	}
-	seed := func(si, ti int) uint64 { return uint64(1000*si + ti + 1) }
-	var eng Engine
-	cells := 0
-	for cell := range eng.SweepSeeded(context.Background(), scenarios, 3, seed) {
-		if cell.Err != nil {
-			t.Fatal(cell.Err)
-		}
-		if want := seed(cell.ScenarioIndex, cell.SeedIndex); cell.Seed != want {
-			t.Fatalf("cell (%d,%d) ran seed %d, want %d", cell.ScenarioIndex, cell.SeedIndex, cell.Seed, want)
-		}
-		serial, err := eng.Run(context.Background(),
-			scenarios[cell.ScenarioIndex].WithOptions(WithSeed(cell.Seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := *cell.Result.Batch, *serial.Batch
-		if got.CWSlots != want.CWSlots || got.Collisions != want.Collisions ||
-			got.CWSlotsAtHalf != want.CWSlotsAtHalf {
-			t.Fatalf("cell (%d,%d) diverged from serial run", cell.ScenarioIndex, cell.SeedIndex)
-		}
-		cells++
-	}
-	if cells != 6 {
-		t.Fatalf("streamed %d cells, want 6", cells)
-	}
-}
-
-// TestWithRawSeedBypassesDerivation pins the legacy-bridge contract: under
-// WithRawSeed the seed is the simulator's stream, so two different
-// scenarios fed the same raw seed draw correlated randomness, while the
-// default derivation decorrelates them.
+// TestWithRawSeedBypassesDerivation pins the figure regenerator's seeding
+// contract: under WithRawSeed the seed is the simulator's stream, so two
+// different scenarios fed the same raw seed draw correlated randomness,
+// while the default derivation decorrelates them.
 func TestWithRawSeedBypassesDerivation(t *testing.T) {
 	ctx := context.Background()
 	var eng Engine
