@@ -262,15 +262,16 @@ func scenarios(specs []repro.ScenarioSpec) ([]repro.Scenario, error) {
 	return out, nil
 }
 
-// checkGrid enforces the per-request cell cap.
-func (s *Server) checkGrid(nScenarios, trials int) error {
+// checkGrid rejects a grid without seeds (400) and one over the
+// per-request cell cap (413), returning the status to answer with.
+func (s *Server) checkGrid(nScenarios, trials int) (int, error) {
 	if trials == 0 {
-		return errors.New("request needs at least one seed")
+		return http.StatusBadRequest, errors.New("request needs at least one seed")
 	}
 	if cells := nScenarios * trials; s.cfg.MaxCells > 0 && cells > s.cfg.MaxCells {
-		return fmt.Errorf("grid has %d cells, over the per-request limit of %d", cells, s.cfg.MaxCells)
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("grid has %d cells, over the per-request limit of %d", cells, s.cfg.MaxCells)
 	}
-	return nil
+	return 0, nil
 }
 
 // --- POST /v1/run -----------------------------------------------------------
@@ -371,8 +372,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		writeError(w, http.StatusBadRequest, err)
 		return err
 	}
-	if err := s.checkGrid(len(grid), len(req.Seeds)); err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+	if code, err := s.checkGrid(len(grid), len(req.Seeds)); err != nil {
+		writeError(w, code, err)
 		return err
 	}
 
@@ -535,8 +536,8 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) error {
 		writeError(w, http.StatusBadRequest, err)
 		return err
 	}
-	if err := s.checkGrid(len(grid), len(req.Seeds)); err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+	if code, err := s.checkGrid(len(grid), len(req.Seeds)); err != nil {
+		writeError(w, code, err)
 		return err
 	}
 	if len(req.Metrics) == 0 {

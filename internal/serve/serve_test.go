@@ -544,6 +544,14 @@ func TestRequestValidation(t *testing.T) {
 	if resp, _ := post("/v1/sweep", `{"scenarios":[],"seeds":[1]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty grid: HTTP %d", resp.StatusCode)
 	}
+	// Empty seed list → 400, on both grid endpoints: a malformed request,
+	// not an oversized one.
+	if resp, body := post("/v1/sweep", `{"scenarios":[{"model":"abstract","algorithm":"BEB","n":8}],"seeds":[]}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "seed") {
+		t.Fatalf("sweep without seeds: HTTP %d %s", resp.StatusCode, body)
+	}
+	if resp, body := post("/v1/aggregate", `{"scenarios":[{"model":"abstract","algorithm":"BEB","n":8}],"seeds":[],"metrics":["cw_slots"]}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "seed") {
+		t.Fatalf("aggregate without seeds: HTTP %d %s", resp.StatusCode, body)
+	}
 	// Wrong method → 405.
 	resp, err := http.Get(hs.URL + "/v1/run")
 	if err != nil {
