@@ -50,7 +50,6 @@ var obsBanned = map[string]bool{
 	"SpanSink":  true,
 	"JSONLSink": true,
 	"NewJSONL":  true,
-	"NopSink":   true,
 	"StartSpan": true,
 }
 

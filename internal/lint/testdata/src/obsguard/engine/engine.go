@@ -7,6 +7,6 @@ import "obsguard/obs"
 func Observe() {
 	sp := obs.StartSpan("cell")
 	defer sp.End()
-	var sink obs.SpanSink = obs.NopSink{}
+	var sink obs.SpanSink = &obs.JSONLSink{}
 	sink.EmitSpan(obs.Span{Name: "cell"})
 }

@@ -8,10 +8,6 @@ func (s *Span) End() {}
 
 type SpanSink interface{ EmitSpan(Span) }
 
-type NopSink struct{}
-
-func (NopSink) EmitSpan(Span) {}
-
 type JSONLSink struct{}
 
 func (s *JSONLSink) EmitSpan(Span) {}

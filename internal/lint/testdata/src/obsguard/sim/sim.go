@@ -7,9 +7,9 @@ import "obsguard/obs"
 func spans() {
 	sp := obs.StartSpan("slot") // want "obsguard"
 	defer sp.End()
-	var sink obs.SpanSink = obs.NopSink{} // want "obsguard" "obsguard"
-	sink.EmitSpan(obs.Span{})             // want "obsguard"
-	_ = obs.NewJSONL(nil)                 // want "obsguard"
+	var sink obs.SpanSink = &obs.JSONLSink{} // want "obsguard" "obsguard"
+	sink.EmitSpan(obs.Span{})                // want "obsguard"
+	_ = obs.NewJSONL(nil)                    // want "obsguard"
 }
 
 // The metrics half of obs is deterministic and allowed anywhere.

@@ -42,12 +42,6 @@ type SpanSink interface {
 	EmitSpan(Span)
 }
 
-// NopSink discards all spans.
-type NopSink struct{}
-
-// EmitSpan implements SpanSink by doing nothing.
-func (NopSink) EmitSpan(Span) {}
-
 // JSONLSink writes one JSON object per span, newline-delimited, to an
 // io.Writer. It is safe for concurrent use. The first write or encode
 // error is retained (and later writes skipped); Close returns it, after

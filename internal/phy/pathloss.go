@@ -32,10 +32,3 @@ func (m LogDistance) Loss(distance float64) DB {
 	}
 	return m.ReferenceLoss + DB(10*m.Exponent*math.Log10(distance/m.ReferenceDist))
 }
-
-// FixedLoss attenuates every link by the same amount; useful in tests where
-// geometry should not matter.
-type FixedLoss DB
-
-// Loss implements PathLossModel.
-func (f FixedLoss) Loss(float64) DB { return DB(f) }

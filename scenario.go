@@ -420,8 +420,6 @@ func writeMACConfig(b *strings.Builder, cfg mac.Config, n int) error {
 	case phy.LogDistance:
 		fmt.Fprintf(b, "pathloss: logdist exp=%g refdist=%g refloss=%g\n",
 			pl.Exponent, pl.ReferenceDist, float64(pl.ReferenceLoss))
-	case phy.FixedLoss:
-		fmt.Fprintf(b, "pathloss: fixed %g\n", float64(pl))
 	default:
 		return fmt.Errorf("repro: cannot fingerprint custom path-loss model %T", pl)
 	}
