@@ -211,12 +211,18 @@ type Medium struct {
 	// whole Medium, to the single simulation goroutine.
 	txFree []*Tx
 
-	// deliv and pts are scratch buffers reused across endTx calls, so a
-	// frame end allocates nothing in steady state. Safe because a
-	// simulation is single-goroutine and nothing re-enters endTx (listener
-	// callbacks only schedule; they never end a transmission inline).
-	deliv []delivery
-	pts   []event.Time
+	// instSrc, instEnd and verdicts are scratch buffers reused across
+	// endTx calls, so a frame end allocates nothing in steady state. Safe
+	// because a simulation is single-goroutine and nothing re-enters endTx
+	// (listener callbacks only schedule; they never end a transmission
+	// inline). instSrc holds the ending frame's interference instants
+	// back to back, each as the source IDs active then in tx.interferers
+	// order; instEnd[k] is where instant k ends in instSrc (see
+	// buildInstants). verdicts[i] is the decode verdict of the frame's
+	// i-th audible node.
+	instSrc  []int32
+	instEnd  []int32
+	verdicts []bool
 
 	// Stats. All are deterministic work counters — pure functions of the
 	// event sequence — and live on the Medium, not the Config, so they
@@ -228,12 +234,6 @@ type Medium struct {
 	TxReuses      int
 	TxRecycles    int
 	TxQuarantined int
-}
-
-// delivery is one pending FrameEnd verdict (see endTx).
-type delivery struct {
-	n  *Node
-	ok bool
 }
 
 // handleTxEnd fires at a transmission's (possibly truncated) end; the Tx
@@ -278,6 +278,12 @@ func (m *Medium) SetListener(n *Node, l Listener) { n.listener = l }
 // buildGains fills the received-power matrix and the per-source audible
 // sets. Positions and config are immutable once transmissions start, so
 // both are exact for the whole run.
+//
+// The matrix is symmetric bit for bit: DistanceTo is math.Hypot of the
+// coordinate deltas, which takes their absolute values first, and a
+// PathLossModel sees only the distance. So each link's gain is computed
+// once, below the diagonal, and mirrored (TestRxPowerSymmetric compares
+// every entry with the one-way expression). The diagonal stays 0.
 func (m *Medium) buildGains() {
 	k := len(m.nodes)
 	txMw := m.cfg.TxPower.MilliWatt()
@@ -285,12 +291,11 @@ func (m *Medium) buildGains() {
 	m.rxMw = make([][]float64, k)
 	for i := range m.rxMw {
 		m.rxMw[i] = flat[i*k : (i+1)*k : (i+1)*k]
-		for j := range m.rxMw[i] {
-			if i == j {
-				continue
-			}
+		for j := 0; j < i; j++ {
 			d := m.nodes[i].Pos.DistanceTo(m.nodes[j].Pos)
-			m.rxMw[i][j] = txMw * DB(-m.cfg.PathLoss.Loss(d)).Ratio()
+			g := txMw * DB(-m.cfg.PathLoss.Loss(d)).Ratio()
+			flat[i*k+j] = g
+			flat[j*k+i] = g
 		}
 	}
 	// Audible sets, in node-ID order (which keeps callback order identical
@@ -311,15 +316,13 @@ func (m *Medium) buildGains() {
 	for i := range m.aud {
 		m.aud[i] = audFlat[offsets[i]:offsets[i+1]:offsets[i+1]]
 	}
-}
-
-// rxPowerMw returns the received power at dst for a transmission from src,
-// in milliwatts.
-func (m *Medium) rxPowerMw(src, dst *Node) float64 {
-	if m.rxMw == nil {
-		m.buildGains()
-	}
-	return m.rxMw[src.ID][dst.ID]
+	// Size endTx's scratch once the node count is known, so a cell's
+	// first frames do not regrow it append by append: a frame has at most
+	// k-1 audible nodes, and a frame that overlaps 7 others has at most 8
+	// instants of 7 sources each.
+	m.verdicts = make([]bool, 0, k)
+	m.instSrc = make([]int32, 0, 64)
+	m.instEnd = make([]int32, 0, 8)
 }
 
 // audibleFrom returns the nodes that can carrier-sense a transmission from
@@ -456,19 +459,21 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	// reactions to the frame (e.g. scheduling a SIFS) observe a consistent
 	// pre-idle state, then drop carrier sense. Only nodes that can hear
 	// the source are visited; a node below the carrier-sense threshold
-	// never detected the frame at all, so it gets no FrameEnd.
+	// never detected the frame at all, so it gets no FrameEnd. Every
+	// verdict is decided before the first callback runs, from instants
+	// built once for the frame.
 	audible := m.audibleFrom(tx.Src)
-	deliveries := m.deliv[:0]
+	m.buildInstants(tx)
+	verdicts := m.verdicts[:0]
 	for _, n := range audible {
-		if n.listener == nil {
-			continue
+		verdicts = append(verdicts, n.listener != nil && m.decodes(tx, n))
+	}
+	m.verdicts = verdicts
+	for i, n := range audible {
+		if n.listener != nil {
+			n.listener.FrameEnd(tx, verdicts[i], now)
 		}
-		deliveries = append(deliveries, delivery{n, m.decodes(tx, n)})
 	}
-	for _, d := range deliveries {
-		d.n.listener.FrameEnd(tx, d.ok, now)
-	}
-	m.deliv = deliveries[:0]
 	if tx.Src.listener != nil {
 		tx.Src.listener.TxDone(tx, now)
 	}
@@ -489,19 +494,79 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 	tx.Release()
 }
 
-// decodes reports whether tx decodes successfully at node n: the node was
-// not itself transmitting for any part of the frame, the received power
-// clears the noise-limited SINR threshold, and the worst-case concurrent
-// interference keeps SINR at or above the rate's minimum.
+// buildInstants fills instSrc and instEnd with the interference at every
+// instant where it can peak inside tx: tx.Start and each interferer start
+// inside (tx.Start, tx.End). Interference only rises at an interferer
+// start, so these instants cover the frame's worst case. An aborted frame
+// fails everywhere without reading them, so its lists stay empty.
+func (m *Medium) buildInstants(tx *Tx) {
+	m.instSrc, m.instEnd = m.instSrc[:0], m.instEnd[:0]
+	if tx.aborted {
+		return
+	}
+	m.addInstant(tx, tx.Start)
+	for _, itx := range tx.interferers {
+		if itx.Start > tx.Start && itx.Start < tx.End {
+			m.addInstant(tx, itx.Start)
+		}
+	}
+}
+
+// addInstant appends one instant's list: the sources of tx's interferers
+// on the air at that instant, in tx.interferers order.
+func (m *Medium) addInstant(tx *Tx, at event.Time) {
+	for _, itx := range tx.interferers {
+		if itx.Start <= at && at < itx.End {
+			m.instSrc = append(m.instSrc, int32(itx.Src.ID))
+		}
+	}
+	m.instEnd = append(m.instEnd, int32(len(m.instSrc)))
+}
+
+// decodes reports whether tx decodes successfully at node n: the received
+// power clears the noise-limited SINR threshold, the concurrent
+// interference keeps SINR at or above the rate's minimum at every instant
+// of buildInstants, the node was not itself transmitting for any part of
+// the frame, and no random loss strikes.
+//
+// Each instant's interference is summed in list order and SINR is tested
+// after every term. That gives the verdict of "take the worst instant's
+// full sum, then test once" exactly, for three reasons:
+//
+//  1. Every gain is finite and >= 0 (Validate rejects the radio settings
+//     and layouts that are not), and rxMw[n][n] is 0, so n's own term in
+//     a list adds nothing. The half-duplex check therefore need not
+//     filter the lists, and it can run after them.
+//  2. Rounded addition of non-negative terms never decreases, so a
+//     partial sum that fails SINR means its whole instant fails, and the
+//     worst instant fails if and only if some instant does.
+//  3. Every check before the lossRand draw returns false without side
+//     effects, so their order changes neither which frames draw nor how
+//     many draws there are.
+//
+// The gain matrix is symmetric, so n's own row gives the power of every
+// source at n in one cache-friendly read.
 func (m *Medium) decodes(tx *Tx, n *Node) bool {
 	if tx.aborted {
 		return false
 	}
-	sigMw := m.rxPowerMw(tx.Src, n)
+	row := m.rxMw[n.ID]
+	sigMw := row[tx.Src.ID]
 	noiseMw := m.noiseMw
 	need := tx.Rate.MinSINRRatio()
 	if sigMw/noiseMw < need {
 		return false
+	}
+	var start int32
+	for _, end := range m.instEnd {
+		var sum float64
+		for _, src := range m.instSrc[start:end] {
+			sum += row[src]
+			if sigMw/(noiseMw+sum) < need {
+				return false
+			}
+		}
+		start = end
 	}
 	// A half-duplex radio that transmitted during any part of the frame
 	// cannot have received it.
@@ -510,45 +575,10 @@ func (m *Medium) decodes(tx *Tx, n *Node) bool {
 			return false
 		}
 	}
-	worst := m.maxInterferenceMw(tx, n)
-	if sigMw/(noiseMw+worst) < need {
-		return false
-	}
 	if m.lossRand != nil && m.lossRand.Float64() < m.cfg.FrameLossProb {
 		return false
 	}
 	return true
-}
-
-// maxInterferenceMw returns the maximum total interference power (mW) at
-// node n from transmissions overlapping tx, maximized over the duration of
-// tx (a sweep over interferer start/end points).
-func (m *Medium) maxInterferenceMw(tx *Tx, n *Node) float64 {
-	if len(tx.interferers) == 0 {
-		return 0
-	}
-	// Collect the candidate evaluation instants: tx.Start and every
-	// interferer start clipped into [tx.Start, tx.End).
-	points := append(m.pts[:0], tx.Start)
-	for _, itx := range tx.interferers {
-		if itx.Start > tx.Start && itx.Start < tx.End {
-			points = append(points, itx.Start)
-		}
-	}
-	m.pts = points[:0]
-	var worst float64
-	for _, p := range points {
-		var sum float64
-		for _, itx := range tx.interferers {
-			if itx.Start <= p && p < itx.End && itx.Src != n {
-				sum += m.rxPowerMw(itx.Src, n)
-			}
-		}
-		if sum > worst {
-			worst = sum
-		}
-	}
-	return worst
 }
 
 // ActiveCount returns the number of transmissions currently on the air.

@@ -1,12 +1,14 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/rng"
 )
 
 // schedule arms fn on sched with no payload.
@@ -376,12 +378,48 @@ func TestMediumStats(t *testing.T) {
 	}
 }
 
+// TestRxPowerSymmetric pins the fact buildGains and decodes rest on: for
+// every ordered pair of nodes, the gain the one-way expression gives for
+// i -> j is bit for bit the gain for j -> i, and equals the matrix entry
+// buildGains mirrors from below the diagonal. It covers the paper's grid,
+// the near-far layout and random layouts with full-width fractional
+// coordinates, whose deltas round differently in each direction if any
+// step of the expression is not symmetric.
 func TestRxPowerSymmetric(t *testing.T) {
-	sched := &event.Scheduler{}
-	m := NewMedium(sched, DefaultConfig())
-	a := m.AddNode(Position{0, 0}, &testListener{})
-	b := m.AddNode(Position{17, 3}, &testListener{})
-	if pab, pba := m.rxPowerMw(a, b), m.rxPowerMw(b, a); pab != pba {
-		t.Fatalf("asymmetric link: %v vs %v", pab, pba)
+	g := rng.New(7)
+	layouts := map[string][]Position{
+		"grid150":   StationGrid(150),
+		"nearfar12": NearFarLayout(12),
+	}
+	for i := 0; i < 4; i++ {
+		layouts[fmt.Sprintf("random%d", i)] = randomLayout(g, 60)
+	}
+	for name, ps := range layouts {
+		cfg := DefaultConfig()
+		m := NewMedium(&event.Scheduler{}, cfg)
+		for _, p := range append([]Position{APPosition()}, ps...) {
+			m.AddNode(p, &testListener{})
+		}
+		m.buildGains()
+		txMw := cfg.TxPower.MilliWatt()
+		oneWay := func(a, b *Node) float64 {
+			return txMw * DB(-cfg.PathLoss.Loss(a.Pos.DistanceTo(b.Pos))).Ratio()
+		}
+		for _, a := range m.nodes {
+			if m.rxMw[a.ID][a.ID] != 0 {
+				t.Fatalf("%s: diagonal gain at node %d = %v, want 0", name, a.ID, m.rxMw[a.ID][a.ID])
+			}
+			for _, b := range m.nodes[:a.ID] {
+				ab, ba := oneWay(a, b), oneWay(b, a)
+				if math.Float64bits(ab) != math.Float64bits(ba) {
+					t.Fatalf("%s: asymmetric link %d-%d: %v vs %v", name, a.ID, b.ID, ab, ba)
+				}
+				if math.Float64bits(m.rxMw[a.ID][b.ID]) != math.Float64bits(ab) ||
+					math.Float64bits(m.rxMw[b.ID][a.ID]) != math.Float64bits(ab) {
+					t.Fatalf("%s: matrix link %d-%d = %v / %v, one-way %v",
+						name, a.ID, b.ID, m.rxMw[a.ID][b.ID], m.rxMw[b.ID][a.ID], ab)
+				}
+			}
+		}
 	}
 }

@@ -195,7 +195,7 @@ func (s Scenario) Validate() error {
 	var cfg mac.Config
 	if s.Model.Name() == "wifi" {
 		cfg = materializeMACConfig(s.workload(), buildOptions(s.Options))
-		if err := validateMACConfig(cfg); err != nil {
+		if err := validateMACConfig(cfg, s.N); err != nil {
 			return err
 		}
 	}
@@ -231,8 +231,10 @@ func (s Scenario) Validate() error {
 // validateMACConfig rejects the values the simulator cannot run: a
 // negative duration schedules an event in the past, a negative frame size
 // gives a negative airtime, a CWMax below 1 leaves no backoff slot to draw,
-// and a FrameLossProb of 1 or more (or NaN) loses every frame.
-func validateMACConfig(cfg mac.Config) error {
+// a FrameLossProb of 1 or more (or NaN) loses every frame, and a radio
+// setting or layout of n stations that is not finite makes gains NaN or
+// infinite (see validateRadio).
+func validateMACConfig(cfg mac.Config, n int) error {
 	if p := cfg.PayloadBytes; p < 0 || p > maxPayloadBytes {
 		return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
 	}
@@ -263,6 +265,46 @@ func validateMACConfig(cfg mac.Config) error {
 	}
 	if p := cfg.Radio.FrameLossProb; !(p >= 0 && p < 1) {
 		return fmt.Errorf("repro: MAC Radio.FrameLossProb must be in [0, 1), got %v", p)
+	}
+	return validateRadio(cfg, n)
+}
+
+// validateRadio rejects the radio settings and layouts whose link gains are
+// not finite: a NaN or infinite power level, or one whose milliwatt value
+// overflows; LogDistance parameters that are not finite, or a reference
+// distance <= 0; and a layout that does not give exactly n finite
+// positions. The medium's reception verdicts rely on every gain being
+// finite and >= 0 (phy.Medium.decodes). And a NaN gain or a +Inf
+// carrier-sense threshold leaves every node deaf to every other, so no
+// frame is acknowledged and the run spins until its event budget panics.
+func validateRadio(cfg mac.Config, n int) error {
+	r := cfg.Radio
+	for _, p := range []struct {
+		name string
+		v    phy.DBm
+	}{
+		{"TxPower", r.TxPower}, {"NoiseFloor", r.NoiseFloor}, {"CSThreshold", r.CSThreshold},
+	} {
+		if !isFinite(float64(p.v)) || !isFinite(p.v.MilliWatt()) {
+			return fmt.Errorf("repro: MAC Radio.%s must be a finite power with a finite mW value, got %v dBm", p.name, float64(p.v))
+		}
+	}
+	if pl, ok := r.PathLoss.(phy.LogDistance); ok {
+		if !isFinite(pl.Exponent) || !isFinite(pl.ReferenceDist) || !isFinite(float64(pl.ReferenceLoss)) || pl.ReferenceDist <= 0 {
+			return fmt.Errorf("repro: MAC Radio.PathLoss needs finite parameters and ReferenceDist > 0, got %+v", pl)
+		}
+	}
+	if cfg.Layout == nil {
+		return nil
+	}
+	ps := cfg.Layout(n)
+	if len(ps) != n {
+		return fmt.Errorf("repro: MAC Layout(%d) gave %d positions, want %d", n, len(ps), n)
+	}
+	for i, p := range ps {
+		if !isFinite(p.X) || !isFinite(p.Y) {
+			return fmt.Errorf("repro: MAC Layout(%d) position %d is not finite: %v", n, i, p)
+		}
 	}
 	return nil
 }

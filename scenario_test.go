@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/phy"
 )
 
 func TestParseAlgorithmRoundTrip(t *testing.T) {
@@ -104,6 +106,49 @@ func TestScenarioValidate(t *testing.T) {
 		{"wifi FrameLossProb 1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 1 }))},
 		{"wifi FrameLossProb 2", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 2 }))},
 		{"wifi FrameLossProb NaN", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = math.NaN() }))},
+		{"wifi TxPower NaN", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.TxPower = phy.DBm(math.NaN()) }))},
+		{"wifi TxPower +Inf", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.TxPower = phy.DBm(math.Inf(1)) }))},
+		{"wifi TxPower -Inf", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.TxPower = phy.DBm(math.Inf(-1)) }))},
+		{"wifi TxPower 4000 dBm (mW overflows)", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.TxPower = 4000 }))},
+		{"wifi NoiseFloor NaN", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.NoiseFloor = phy.DBm(math.NaN()) }))},
+		{"wifi NoiseFloor -Inf", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.NoiseFloor = phy.DBm(math.Inf(-1)) }))},
+		{"wifi CSThreshold +Inf", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.CSThreshold = phy.DBm(math.Inf(1)) }))},
+		{"wifi CSThreshold NaN", valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.CSThreshold = phy.DBm(math.NaN()) }))},
+		{"wifi PathLoss exponent NaN", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Radio.PathLoss = phy.LogDistance{Exponent: math.NaN(), ReferenceDist: 1, ReferenceLoss: 46.6777}
+		}))},
+		{"wifi PathLoss ReferenceLoss +Inf", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Radio.PathLoss = phy.LogDistance{Exponent: 3, ReferenceDist: 1, ReferenceLoss: phy.DB(math.Inf(1))}
+		}))},
+		{"wifi PathLoss ReferenceDist +Inf", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Radio.PathLoss = phy.LogDistance{Exponent: 3, ReferenceDist: math.Inf(1), ReferenceLoss: 46.6777}
+		}))},
+		{"wifi PathLoss ReferenceDist 0", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Radio.PathLoss = phy.LogDistance{Exponent: 3, ReferenceDist: 0, ReferenceLoss: 46.6777}
+		}))},
+		{"wifi PathLoss ReferenceDist -1", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Radio.PathLoss = phy.LogDistance{Exponent: 3, ReferenceDist: -1, ReferenceLoss: 46.6777}
+		}))},
+		{"wifi Layout NaN", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Layout = func(n int) []phy.Position {
+				ps := phy.StationGrid(n)
+				ps[n-1].Y = math.NaN()
+				return ps
+			}
+		}))},
+		{"wifi Layout +Inf", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Layout = func(n int) []phy.Position {
+				ps := phy.StationGrid(n)
+				ps[0].X = math.Inf(1)
+				return ps
+			}
+		}))},
+		{"wifi Layout n-1 positions", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Layout = func(n int) []phy.Position { return phy.StationGrid(n - 1) }
+		}))},
+		{"wifi Layout n+1 positions", valid.WithOptions(WithConfig(func(c *MACConfig) {
+			c.Layout = func(n int) []phy.Position { return phy.StationGrid(n + 1) }
+		}))},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
@@ -130,6 +175,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 1, Options: []Option{WithConfig(func(c *MACConfig) { c.CWMax = 1 })}},
 		valid.WithOptions(WithConfig(func(c *MACConfig) { c.SIFS = 0; c.OverheadBytes = 0; c.CWMax = 2 })),
 		valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.FrameLossProb = 0.5 })),
+		valid.WithOptions(WithConfig(func(c *MACConfig) { c.Radio.PathLoss = nil; c.Layout = phy.NearFarLayout })),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v: Validate rejected: %v", s, err)
