@@ -21,10 +21,15 @@
 // out) their reference at that moment and never Cancel through a stale
 // pointer. All in-tree callers clear their timer fields on fire/cancel;
 // see the package tests for the recycling contract.
+//
+// Events live in a scheduler-owned arena and never move, so handles stay
+// stable; the heap orders pointer-free (time, sequence, slot) entries
+// that refer to the arena by index, and a sift moves plain words.
 package event
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -40,22 +45,15 @@ type Time = time.Duration
 type ArgHandler func(now Time, arg any)
 
 // Event is a scheduled callback. It is owned by the Scheduler; callers
-// keep a reference only to cancel it, and the reference is invalidated —
-// the object may be recycled for a different event — the moment the event
-// fires or is cancelled.
+// keep a reference only to cancel it or ask when it fires (Scheduler.Time),
+// and the reference is invalidated — the object may be recycled for a
+// different event — the moment the event fires or is cancelled. Its firing
+// time and sequence number live in the scheduler's heap entry, not here.
 type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 once removed
-	fn    ArgHandler
-	arg   any
+	slot int32 // index into the scheduler's arena and heap-position table
+	fn   ArgHandler
+	arg  any
 }
-
-// Time returns the time the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
-// Arg returns the payload attached by ScheduleArg.
-func (e *Event) Arg() any { return e.arg }
 
 // Scheduler is a discrete-event scheduler. The zero value is ready to use.
 // It is not safe for concurrent use; a simulation is single-goroutine by
@@ -64,7 +62,8 @@ type Scheduler struct {
 	now      Time
 	seq      uint64
 	queue    eventHeap
-	free     []*Event
+	events   []*Event // the arena: events[e.slot] == e for every event ever made
+	free     []int32  // slots of fired and cancelled events, reused LIFO
 	fired    uint64
 	canceled uint64
 	reused   uint64
@@ -98,14 +97,34 @@ func (s *Scheduler) Stats() Stats {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// PendingEvents exposes the scheduler's internal queue in heap (not
-// firing) order, for callers that need to inspect what is armed — e.g.
-// the MAC's idle-slot fast-forward. Cancellation removes an event from
-// the queue immediately, so its length is the exact number of armed
-// events. The slice and the events it holds are owned by the scheduler:
-// treat both as read-only, and do not retain them past the next
-// scheduler operation.
-func (s *Scheduler) PendingEvents() []*Event { return s.queue }
+// Time returns the time an armed event is scheduled to fire. e must be
+// armed: an event that has fired or been cancelled has no time, and
+// asking for one panics.
+func (s *Scheduler) Time(e *Event) Time {
+	i := s.queue.pos[e.slot]
+	if i < 0 {
+		panic("event: Time of an event that is not armed")
+	}
+	return s.queue.items[i].at
+}
+
+// PendingLen returns the number of armed events. Cancellation removes an
+// event from the queue immediately, so the count is exact.
+func (s *Scheduler) PendingLen() int { return len(s.queue.items) }
+
+// Pending iterates over the armed events' (time, payload) pairs in heap
+// (not firing) order, for callers that need to inspect what is armed —
+// e.g. the MAC's idle-slot fast-forward. The loop body must not schedule,
+// cancel or fire events.
+func (s *Scheduler) Pending() iter.Seq2[Time, any] {
+	return func(yield func(Time, any) bool) {
+		for _, x := range s.queue.items {
+			if !yield(x.at, s.events[x.slot].arg) {
+				return
+			}
+		}
+	}
+}
 
 // ScheduleArg schedules fn(now, arg) to run delay after the current time.
 // fn is typically a package-level function and arg a long-lived pointer,
@@ -116,48 +135,41 @@ func (s *Scheduler) ScheduleArg(label string, delay time.Duration, fn ArgHandler
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	e := s.alloc(label, delay)
-	e.fn = fn
-	e.arg = arg
-	s.push(e)
-	return e
-}
-
-// alloc takes an event from the free list (or the heap allocator on a
-// cold start) and stamps its time and sequence number.
-func (s *Scheduler) alloc(label string, delay time.Duration) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("event: negative delay %v at t=%v (%s)", delay, s.now, label))
 	}
-	var e *Event
+	e := s.alloc()
+	e.fn = fn
+	e.arg = arg
+	s.queue.push(entry{at: s.now + delay, seq: s.seq, slot: e.slot})
+	s.seq++
+	if len(s.queue.items) > s.maxLen {
+		s.maxLen = len(s.queue.items)
+	}
+	return e
+}
+
+// alloc takes a slot from the free list, or grows the arena by one event
+// on a cold start.
+func (s *Scheduler) alloc() *Event {
 	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
+		slot := s.free[n-1]
 		s.free = s.free[:n-1]
 		s.reused++
-	} else {
-		e = &Event{}
+		return s.events[slot]
 	}
-	e.at = s.now + delay
-	e.seq = s.seq
-	s.seq++
+	e := &Event{slot: int32(len(s.events))}
+	s.events = append(s.events, e)
+	s.queue.pos = append(s.queue.pos, -1)
 	return e
 }
 
 // release clears an event's handler and payload — dropping every
-// reference it pinned — and returns it to the free list for reuse.
+// reference it pinned — and returns its slot to the free list.
 func (s *Scheduler) release(e *Event) {
 	e.fn = nil
 	e.arg = nil
-	e.index = -1
-	s.free = append(s.free, e)
-}
-
-func (s *Scheduler) push(e *Event) {
-	s.queue.push(e)
-	if len(s.queue) > s.maxLen {
-		s.maxLen = len(s.queue)
-	}
+	s.free = append(s.free, e.slot)
 }
 
 // Cancel prevents a scheduled event from firing: the event is removed from
@@ -168,10 +180,14 @@ func (s *Scheduler) push(e *Event) {
 // pointer may otherwise alias a recycled, re-armed event). Cancel of nil
 // is a no-op so callers can cancel optional timers unconditionally.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+	if e == nil {
 		return
 	}
-	s.queue.removeAt(e.index)
+	i := s.queue.pos[e.slot]
+	if i < 0 {
+		return
+	}
+	s.queue.removeAt(int(i))
 	s.canceled++
 	s.release(e)
 }
@@ -179,15 +195,17 @@ func (s *Scheduler) Cancel(e *Event) {
 // Step fires the single earliest pending event. It reports whether an event
 // was fired (false when the queue is empty).
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	if len(s.queue.items) == 0 {
 		return false
 	}
-	e := s.queue.popMin()
-	if e.at < s.now {
-		panic(fmt.Sprintf("event: time went backwards: %v < %v", e.at, s.now))
+	top := s.queue.items[0]
+	s.queue.removeAt(0)
+	if top.at < s.now {
+		panic(fmt.Sprintf("event: time went backwards: %v < %v", top.at, s.now))
 	}
-	s.now = e.at
+	s.now = top.at
 	s.fired++
+	e := s.events[top.slot]
 	e.fn(s.now, e.arg)
 	s.release(e)
 	return true
@@ -211,7 +229,7 @@ func (s *Scheduler) Run(limit uint64) (fired uint64, drained bool) {
 // RunUntil executes events with time <= deadline. Events scheduled beyond
 // the deadline remain queued; the clock advances to at most the deadline.
 func (s *Scheduler) RunUntil(deadline Time) (fired uint64) {
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for len(s.queue.items) > 0 && s.queue.items[0].at <= deadline {
 		s.Step()
 		fired++
 	}
@@ -223,114 +241,139 @@ func (s *Scheduler) RunUntil(deadline Time) (fired uint64) {
 
 // DeferAll postpones every pending event by delta. A uniform shift
 // preserves both the relative firing order (times move together, sequence
-// numbers are untouched) and the heap invariant, so it costs one pass and
-// no re-sorting. It is the kernel half of the MAC's idle-slot
-// fast-forward: the caller accounts for the skipped virtual time, the
-// kernel moves the armed expiries. Negative delta panics.
+// numbers are untouched) and the heap invariant, so it costs one pass over
+// the heap entries and no re-sorting. It is the kernel half of the MAC's
+// idle-slot fast-forward: the caller accounts for the skipped virtual
+// time, the kernel moves the armed expiries. Negative delta panics.
 func (s *Scheduler) DeferAll(delta time.Duration) {
 	if delta < 0 {
 		panic(fmt.Sprintf("event: DeferAll(%v): negative delta", delta))
 	}
-	for _, e := range s.queue {
-		e.at += delta
+	for i := range s.queue.items {
+		s.queue.items[i].at += delta
 	}
 }
 
-// eventHeap is a hand-rolled four-ary min-heap ordered by (time, insertion
-// sequence): a stable priority queue. Hand-rolling (vs container/heap)
-// removes the interface dispatch on every sift; four children per node
-// halve the tree depth, which benchmarks at parity with a binary heap at
-// small depths and ~5-10% faster at the 10^5 depths the large-population
-// target needs — queue depth (Stats().MaxQueueLen) tracks the station
-// count, one armed timer per station (see BenchmarkHeapKernel4ary vs
-// BenchmarkHeapKernelBinary). A calendar queue was rejected: its bucket
+// entry is one armed event in the heap: its firing time, its sequence
+// number and its arena slot. It holds no pointer, so sifting entries
+// moves plain words — no pointer chase per comparison and no GC write
+// barrier per move.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// before orders entries by (time, insertion sequence); sequence numbers
+// are unique, so the order is total and firing order is stable FIFO among
+// simultaneous events.
+func (x entry) before(y entry) bool { return beforeBit(x, y) == 1 }
+
+// beforeBit is before as 1 or 0, computed without a branch: which child
+// of a heap node fires first is a coin flip to the branch predictor, so
+// down picks the earliest child by arithmetic on these bits.
+func beforeBit(x, y entry) int {
+	var lt, eq, seq int
+	if x.at < y.at {
+		lt = 1
+	}
+	if x.at == y.at {
+		eq = 1
+	}
+	if x.seq < y.seq {
+		seq = 1
+	}
+	return lt | eq&seq
+}
+
+// eventHeap is a hand-rolled four-ary min-heap of entries: a stable
+// priority queue. pos[slot] is the heap index of the slot's entry, or -1
+// while the slot is not armed, so Cancel and Time find an event in O(1).
+// Hand-rolling (vs container/heap) removes the interface dispatch on every
+// sift, sifts move a hole rather than swapping, writing each moved entry
+// once, and down picks the earliest child without branching on the
+// comparisons. Four children per node halve the depth: that ties a binary
+// heap at MAC-typical depths — queue depth, Stats().MaxQueueLen, tracks
+// the station count, one armed timer per station — and is ~20% faster at
+// the 10^5 depths of the large-population target (BenchmarkHeapKernel4ary
+// vs BenchmarkHeapKernelBinary). A calendar queue was rejected: its bucket
 // rotation needs resize heuristics that would make firing order depend on
-// tuning parameters, and the heap is already off the profile once events
-// are pooled.
-type eventHeap []*Event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// tuning parameters.
+type eventHeap struct {
+	items []entry
+	pos   []int32
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+func (h *eventHeap) push(x entry) {
+	h.items = append(h.items, x)
+	h.up(len(h.items)-1, x)
 }
 
-func (h *eventHeap) push(e *Event) {
-	e.index = len(*h)
-	*h = append(*h, e)
-	h.up(e.index)
-}
-
-// popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *Event {
-	old := *h
-	e := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	old[0].index = 0
-	old[last] = nil
-	*h = old[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	e.index = -1
-	return e
-}
-
-// removeAt deletes the event at heap position i (eager cancellation).
+// removeAt deletes the entry at heap index i (the root when firing, any
+// index on cancellation) and marks its slot unarmed.
 func (h *eventHeap) removeAt(i int) {
-	old := *h
-	e := old[i]
-	last := len(old) - 1
-	if i != last {
-		old[i] = old[last]
-		old[i].index = i
+	h.pos[h.items[i].slot] = -1
+	last := len(h.items) - 1
+	x := h.items[last]
+	h.items = h.items[:last]
+	if i == last {
+		return
 	}
-	old[last] = nil
-	*h = old[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
+	if i > 0 && x.before(h.items[(i-1)/4]) {
+		h.up(i, x)
+	} else {
+		h.down(i, x)
 	}
-	e.index = -1
 }
 
-func (h eventHeap) up(i int) {
+// up moves x from the hole at i towards the root until its parent is
+// earlier, then stores it.
+func (h *eventHeap) up(i int, x entry) {
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			return
+		p := h.items[parent]
+		if !x.before(p) {
+			break
 		}
-		h.swap(i, parent)
+		h.items[i] = p
+		h.pos[p.slot] = int32(i)
 		i = parent
 	}
+	h.items[i] = x
+	h.pos[x.slot] = int32(i)
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
+// down moves x from the hole at i towards the leaves until no child is
+// earlier, then stores it.
+func (h *eventHeap) down(i int, x entry) {
+	items := h.items
+	n := len(items)
+sift:
 	for {
-		best := i
 		first := 4*i + 1
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first; c < end; c++ {
-			if h.less(c, best) {
-				best = c
+		var c int // the earliest child
+		switch {
+		case first+3 < n: // a full node: a tournament of its four children
+			q := items[first : first+4 : first+4]
+			a := beforeBit(q[1], q[0])
+			b := 2 + beforeBit(q[3], q[2])
+			c = first + a + (b-a)*beforeBit(q[b], q[a])
+		case first < n:
+			c = first
+			for k := first + 1; k < n; k++ {
+				c += (k - c) * beforeBit(items[k], items[c])
 			}
+		default:
+			break sift
 		}
-		if best == i {
-			return
+		b := items[c]
+		if !b.before(x) {
+			break
 		}
-		h.swap(i, best)
-		i = best
+		items[i] = b
+		h.pos[b.slot] = int32(i)
+		i = c
 	}
+	items[i] = x
+	h.pos[x.slot] = int32(i)
 }

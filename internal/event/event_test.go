@@ -192,11 +192,11 @@ func TestPendingAndMaxQueueLen(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		schedule(&s, time.Duration(i), func(Time) {})
 	}
-	if n := len(s.PendingEvents()); n != 7 {
+	if n := s.PendingLen(); n != 7 {
 		t.Fatalf("pending = %d", n)
 	}
 	s.Run(0)
-	if n := len(s.PendingEvents()); n != 0 {
+	if n := s.PendingLen(); n != 0 {
 		t.Fatalf("pending after drain = %d", n)
 	}
 	if m := s.Stats().MaxQueueLen; m != 7 {

@@ -2,8 +2,8 @@ package event
 
 // Tests for the kernel's performance contracts: the event free list, eager
 // cancellation, the closure-free ScheduleArg path, DeferAll, and the
-// four-ary heap — including the differential ordering check and the
-// binary-heap comparison benchmark that justified the queue choice
+// four-ary heap of value entries — including the differential ordering
+// check and the binary-heap comparison benchmark behind the queue choice
 // (DESIGN.md "Event kernel performance model").
 
 import (
@@ -32,18 +32,18 @@ func TestFireRecyclesEvent(t *testing.T) {
 }
 
 // TestCancelIsEagerAndDropsHandler pins the Cancel bugfix: cancellation
-// removes the event from the queue immediately (PendingEvents is exact) and nils
+// removes the event from the queue immediately (PendingLen is exact) and nils
 // the handler, so whatever the closure captured becomes collectable right
 // away instead of being pinned until a lazy drain.
 func TestCancelIsEagerAndDropsHandler(t *testing.T) {
 	var s Scheduler
 	payload := make([]byte, 1<<20)
 	e := schedule(&s, 10, func(Time) { _ = payload[0] })
-	if n := len(s.PendingEvents()); n != 1 {
+	if n := s.PendingLen(); n != 1 {
 		t.Fatalf("pending = %d before cancel", n)
 	}
 	s.Cancel(e)
-	if n := len(s.PendingEvents()); n != 0 {
+	if n := s.PendingLen(); n != 0 {
 		t.Fatalf("pending = %d after cancel, want 0 (eager removal)", n)
 	}
 	if e.fn != nil || e.arg != nil {
@@ -71,10 +71,7 @@ func TestScheduleArgDeliversPayload(t *testing.T) {
 		}
 		arg.(*box).hits++
 	}
-	e := s.ScheduleArg("probe", 5, h, b)
-	if e.Arg() != b {
-		t.Fatal("Arg() does not round-trip the payload")
-	}
+	s.ScheduleArg("probe", 5, h, b)
 	s.Run(0)
 	if b.hits != 1 {
 		t.Fatalf("payload handler ran %d times", b.hits)
@@ -130,20 +127,44 @@ func TestDeferAllNegativePanics(t *testing.T) {
 
 func TestPendingEventsExposesArmedTimers(t *testing.T) {
 	var s Scheduler
-	s.ScheduleArg("a", 3, func(Time, any) {}, "x")
-	s.ScheduleArg("b", 1, func(Time, any) {}, "y")
-	q := s.PendingEvents()
-	if len(q) != 2 {
-		t.Fatalf("PendingEvents len = %d", len(q))
+	a := s.ScheduleArg("a", 3, func(Time, any) {}, "x")
+	b := s.ScheduleArg("b", 1, func(Time, any) {}, "y")
+	if n := s.PendingLen(); n != 2 {
+		t.Fatalf("PendingLen = %d", n)
 	}
-	if q[0].Time() != 1 || q[0].Arg() != "y" {
-		t.Fatalf("heap min is %v/%v, want the earliest event", q[0].Time(), q[0].Arg())
+	if s.Time(a) != 3 || s.Time(b) != 1 {
+		t.Fatalf("Time(a), Time(b) = %v, %v, want 3, 1", s.Time(a), s.Time(b))
+	}
+	var ats []Time
+	var args []any
+	for at, arg := range s.Pending() {
+		ats = append(ats, at)
+		args = append(args, arg)
+	}
+	if len(ats) != 2 || ats[0] != 1 || args[0] != "y" || ats[1] != 3 || args[1] != "x" {
+		t.Fatalf("Pending yielded %v/%v, want the heap min (1, y) first", ats, args)
+	}
+	s.DeferAll(4)
+	if s.Time(a) != 7 || s.Time(b) != 5 {
+		t.Fatalf("after DeferAll(4): Time(a), Time(b) = %v, %v, want 7, 5", s.Time(a), s.Time(b))
 	}
 }
 
-// TestHeapDifferential drives the four-ary heap through random
-// schedule/cancel/fire interleavings and checks the firing sequence
-// against a sorted reference model.
+func TestTimeOfUnarmedEventPanics(t *testing.T) {
+	var s Scheduler
+	e := schedule(&s, 1, func(Time) {})
+	s.Cancel(e)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Time of a cancelled event did not panic")
+		}
+	}()
+	s.Time(e)
+}
+
+// TestHeapDifferential drives the heap through random schedule/cancel/fire
+// interleavings and checks the firing sequence against a sorted reference
+// model.
 func TestHeapDifferential(t *testing.T) {
 	root := rng.New(99)
 	for trial := 0; trial < 50; trial++ {
@@ -220,95 +241,108 @@ func TestSteadyStateScheduleIsAllocationFree(t *testing.T) {
 
 // --- Queue-choice evaluation benchmarks -------------------------------------
 //
-// refBinaryHeap is the pre-optimization binary heap, kept here so the
+// refBinaryHeap is a binary heap over the same value entries, position
+// table and branch-free child choice as eventHeap, kept here so the
 // four-ary choice stays re-checkable on new hardware:
 //
 //	go test ./internal/event -run xxx -bench 'BenchmarkHeapKernel' -benchmem
 //
 // The workload mirrors the simulator's: a standing queue of ~depth armed
-// timers (MaxQueueLen tracks the station count) with schedule/fire churn.
+// timers (MaxQueueLen tracks the station count) with fire/rearm churn.
 
-type refBinaryHeap []*Event
+type refBinaryHeap eventHeap
 
-func (h refBinaryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h *refBinaryHeap) push(x entry) {
+	h.items = append(h.items, x)
+	h.up(len(h.items)-1, x)
 }
 
-func (h *refBinaryHeap) push(e *Event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+func (h *refBinaryHeap) up(i int, x entry) {
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
+		parent := (i - 1) / 2
+		p := h.items[parent]
+		if !x.before(p) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
+		h.items[i] = p
+		h.pos[p.slot] = int32(i)
+		i = parent
 	}
+	h.items[i] = x
+	h.pos[x.slot] = int32(i)
 }
 
-func (h *refBinaryHeap) popMin() *Event {
-	old := *h
-	e := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	old[last] = nil
-	*h = old[:last]
-	i, n := 0, last
+func (h *refBinaryHeap) removeAt(i int) {
+	h.pos[h.items[i].slot] = -1
+	last := len(h.items) - 1
+	x := h.items[last]
+	h.items = h.items[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && x.before(h.items[(i-1)/2]) {
+		h.up(i, x)
+		return
+	}
+	items, n := h.items, last
 	for {
-		best := i
-		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
-			if h.less(c, best) {
-				best = c
-			}
-		}
-		if best == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[best] = (*h)[best], (*h)[i]
-		i = best
+		if c+1 < n {
+			c += beforeBit(items[c+1], items[c])
+		}
+		b := items[c]
+		if !b.before(x) {
+			break
+		}
+		items[i] = b
+		h.pos[b.slot] = int32(i)
+		i = c
 	}
-	return e
+	items[i] = x
+	h.pos[x.slot] = int32(i)
 }
 
-func benchHeapDepth(b *testing.B, depth int, push func(*Event), pop func() *Event) {
+// benchHeapDepth fills a heap with depth entries and then, per iteration,
+// fires the earliest and rearms it a random span later with a fresh
+// sequence number: one fire-and-rearm of a standing timer.
+func benchHeapDepth(b *testing.B, depth int, pos *[]int32, items *[]entry, push func(entry), removeAt func(int)) {
 	g := rng.New(5)
-	events := make([]*Event, depth)
-	for i := range events {
-		events[i] = &Event{}
-	}
+	*pos = make([]int32, depth)
 	var seq uint64
-	for _, e := range events {
-		e.at, e.seq = time.Duration(g.Intn(1000)), seq
+	for slot := 0; slot < depth; slot++ {
+		push(entry{at: time.Duration(g.Intn(1000)), seq: seq, slot: int32(slot)})
 		seq++
-		push(e)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := pop()
-		e.at, e.seq = e.at+time.Duration(g.Intn(1000)), seq
+		x := (*items)[0]
+		removeAt(0)
+		x.at += time.Duration(g.Intn(1000))
+		x.seq = seq
 		seq++
-		push(e)
+		push(x)
 	}
 }
 
+var heapDepths = []int{128, 4096, 100_000}
+
 func BenchmarkHeapKernel4ary(b *testing.B) {
-	for _, depth := range []int{128, 4096, 100_000} {
+	for _, depth := range heapDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			var h eventHeap
-			benchHeapDepth(b, depth, func(e *Event) { h.push(e) }, h.popMin)
+			benchHeapDepth(b, depth, &h.pos, &h.items, h.push, h.removeAt)
 		})
 	}
 }
 
 func BenchmarkHeapKernelBinary(b *testing.B) {
-	for _, depth := range []int{128, 4096, 100_000} {
+	for _, depth := range heapDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			var h refBinaryHeap
-			benchHeapDepth(b, depth, func(e *Event) { h.push(e) }, h.popMin)
+			benchHeapDepth(b, depth, &h.pos, &h.items, h.push, h.removeAt)
 		})
 	}
 }

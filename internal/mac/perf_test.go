@@ -114,6 +114,57 @@ func TestBestOfKResultsPinned(t *testing.T) {
 	}
 }
 
+// TestKernelStatsPinned pins the kernel's deterministic work profile for
+// a few wifi cells. KernelStats is a side channel no result golden
+// compares, so without this pin a queue or pool change could alter how
+// many events a cell schedules, cancels or recycles, or how deep the
+// queue gets, and nothing would notice. Columns follow KernelStats field
+// order: scheduled, fired, canceled, reused, max queue length, elided
+// slots, Tx total, Tx reuses, Tx recycles, Tx quarantined.
+func TestKernelStatsPinned(t *testing.T) {
+	factories := map[string]backoff.Factory{
+		"BEB": backoff.NewBEB, "LB": backoff.NewLB, "LLB": backoff.NewLLB, "STB": backoff.NewSTB,
+	}
+	cases := []struct {
+		algo string
+		n    int
+		seed uint64
+		want KernelStats
+	}{
+		{"BEB", 30, 1, KernelStats{3109, 2166, 943, 3077, 31, 526, 213, 183, 213, 0}},
+		{"BEB", 30, 2, KernelStats{2830, 1882, 948, 2798, 31, 251, 201, 171, 201, 0}},
+		{"BEB", 150, 1, KernelStats{74459, 51706, 22753, 74307, 151, 10537, 1425, 1275, 1425, 0}},
+		{"BEB", 150, 2, KernelStats{72578, 50143, 22435, 72426, 151, 12285, 1423, 1273, 1423, 0}},
+		{"LB", 30, 1, KernelStats{2900, 1888, 1012, 2868, 31, 72, 233, 203, 233, 0}},
+		{"LB", 30, 2, KernelStats{2813, 1848, 965, 2781, 31, 71, 232, 202, 232, 0}},
+		{"LB", 150, 1, KernelStats{83362, 57590, 25772, 83210, 151, 1982, 2204, 2054, 2204, 0}},
+		{"LB", 150, 2, KernelStats{92842, 65953, 26889, 92690, 151, 2434, 2305, 2155, 2305, 0}},
+		{"LLB", 30, 1, KernelStats{2689, 1725, 964, 2657, 31, 190, 209, 179, 209, 0}},
+		{"LLB", 30, 2, KernelStats{2864, 1933, 931, 2832, 31, 289, 217, 187, 217, 0}},
+		{"LLB", 150, 1, KernelStats{87472, 61821, 25651, 87320, 151, 5428, 1779, 1629, 1779, 0}},
+		{"LLB", 150, 2, KernelStats{75025, 51204, 23821, 74873, 151, 4122, 1672, 1522, 1672, 0}},
+		{"STB", 30, 1, KernelStats{3038, 1987, 1051, 3006, 31, 21, 273, 256, 273, 0}},
+		{"STB", 30, 2, KernelStats{2540, 1582, 958, 2508, 31, 30, 232, 214, 232, 0}},
+		{"STB", 150, 1, KernelStats{80202, 52654, 27548, 80050, 151, 682, 2835, 2757, 2835, 0}},
+		{"STB", 150, 2, KernelStats{78806, 51966, 26840, 78654, 151, 807, 2782, 2699, 2782, 0}},
+		{"best-of-3", 30, 1, KernelStats{2421, 1638, 783, 2356, 64, 288, 266, 236, 266, 0}},
+		{"best-of-3", 30, 2, KernelStats{2733, 1903, 830, 2668, 64, 112, 306, 276, 306, 0}},
+		{"best-of-3", 150, 1, KernelStats{53260, 34226, 19034, 53075, 184, 14576, 1308, 1158, 1308, 0}},
+		{"best-of-3", 150, 2, KernelStats{78332, 52883, 25449, 78147, 184, 1966, 1916, 1766, 1916, 0}},
+	}
+	for _, c := range cases {
+		var got KernelStats
+		if c.algo == "best-of-3" {
+			got = RunBestOfK(DefaultConfig(), 3, c.n, rng.New(c.seed), nil).Kernel
+		} else {
+			got = RunBatch(DefaultConfig(), c.n, factories[c.algo], rng.New(c.seed), nil).Kernel
+		}
+		if got != c.want {
+			t.Errorf("%s n=%d seed=%d: kernel stats\n got %+v\nwant %+v", c.algo, c.n, c.seed, got, c.want)
+		}
+	}
+}
+
 // TestContinuousResultsPinned pins full continuous-traffic results.
 func TestContinuousResultsPinned(t *testing.T) {
 	sat := DefaultConfig()

@@ -125,15 +125,15 @@ func (m *sim) trySkipSlots() {
 	if !m.allowSlotSkip || m.backoffCount < 1 || m.medium.ActiveCount() != 0 {
 		return
 	}
-	q := m.sched.PendingEvents()
-	if len(q) != m.backoffCount {
+	n := m.sched.PendingLen()
+	if n != m.backoffCount {
 		return // something other than slot timers is armed
 	}
 	now := m.sched.Now()
 	minCounter := 0
-	for _, e := range q {
-		st, ok := e.Arg().(*station)
-		if !ok || st.state != stateBackoff || st.counter < 1 || e.Time() <= now {
+	for at, arg := range m.sched.Pending() {
+		st, ok := arg.(*station)
+		if !ok || st.state != stateBackoff || st.counter < 1 || at <= now {
 			// Not a countdown timer, or a timer still due at this very
 			// instant (mid-boundary): wait for the state to settle.
 			return
@@ -156,8 +156,8 @@ func (m *sim) trySkipSlots() {
 	// ticked instant (all lie strictly in the future) or with the
 	// post-skip real ticks (strictly beyond the skipped span).
 	phases := m.skipPhases[:0]
-	for _, e := range q {
-		phases = append(phases, e.Time())
+	for at := range m.sched.Pending() {
+		phases = append(phases, at)
 	}
 	slices.Sort(phases)
 	distinct := 0
@@ -168,13 +168,13 @@ func (m *sim) trySkipSlots() {
 	}
 	m.skipPhases = phases
 
-	for _, e := range q {
-		st := e.Arg().(*station)
+	for _, arg := range m.sched.Pending() {
+		st := arg.(*station)
 		st.counter -= skip
 		st.stats.BackoffSlots += skip
 	}
 	m.cwSlotTicks += distinct * skip
-	m.elidedSlots += uint64(skip) * uint64(len(q))
+	m.elidedSlots += uint64(skip) * uint64(n)
 	m.sched.DeferAll(time.Duration(skip) * m.cfg.SlotTime)
 }
 

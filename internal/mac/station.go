@@ -301,7 +301,7 @@ func (s *station) onRespTimeout(now event.Time) {
 func (s *station) ChannelBusy(now event.Time) {
 	switch s.state {
 	case stateDifsWait:
-		if s.difsTimer != nil && s.difsTimer.Time() == now {
+		if s.difsTimer != nil && s.sim.sched.Time(s.difsTimer) == now {
 			// DIFS expires at this very instant; the station already
 			// committed. Let the timer fire (it may transmit into the new
 			// frame — a collision — or void its first slot).
@@ -311,7 +311,7 @@ func (s *station) ChannelBusy(now event.Time) {
 		s.difsTimer = nil
 		s.state = stateFrozen
 	case stateBackoff:
-		if s.slotTimer != nil && s.slotTimer.Time() == now {
+		if s.slotTimer != nil && s.sim.sched.Time(s.slotTimer) == now {
 			// The pending decrement is due at this very instant and the
 			// station committed to it at the previous boundary; let it
 			// fire (it may transmit into the new frame — a collision).

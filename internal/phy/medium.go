@@ -299,10 +299,17 @@ func (m *Medium) buildGains() {
 		}
 	}
 	// Audible sets, in node-ID order (which keeps callback order identical
-	// to the old all-nodes scans). Appending to one flat slice and
-	// re-slicing afterwards gives n rows for O(1) allocations.
+	// to the old all-nodes scans). One flat slice, re-sliced into rows,
+	// gives n rows for O(1) allocations; a counting pass with the same
+	// test sizes it exactly, so it is allocated once instead of grown.
+	audible := 0
+	for _, g := range flat {
+		if g >= m.csMw {
+			audible++
+		}
+	}
 	offsets := make([]int, k+1)
-	var audFlat []*Node
+	audFlat := make([]*Node, 0, audible)
 	for i := 0; i < k; i++ {
 		row := m.rxMw[i]
 		for j := 0; j < k; j++ {
@@ -347,8 +354,9 @@ func (m *Medium) allocTx() *Tx {
 		return tx
 	}
 	// Cold path: pre-size interferers so warm-up transmissions don't each
-	// pay a grow-append; 8 covers every overlap degree the DCF reaches.
-	return &Tx{m: m, activeIdx: -1, interferers: make([]*Tx, 0, 8)}
+	// pay a grow-append. A frame can overlap every other node's: each
+	// paper algorithm's first slot puts the whole batch on the air.
+	return &Tx{m: m, activeIdx: -1, interferers: make([]*Tx, 0, max(8, len(m.nodes)-1))}
 }
 
 // recycleTx clears a fully-released Tx and returns it to the pool. Under
