@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -101,19 +103,15 @@ func (ap *accessPoint) onSifsResp(event.Time) {
 // disjointCollisions merges the failed-frame intervals into maximal
 // overlapping groups: the paper's "disjoint collisions" C_A (Section III-B).
 // It returns the number of groups and their aggregate (union) duration.
+// It sorts ap.failed in place, which nothing reads afterwards; the count
+// and the union do not depend on how equal starts are ordered.
 func (ap *accessPoint) disjointCollisions() (count int, airtime time.Duration) {
 	if len(ap.failed) == 0 {
 		return 0, 0
 	}
-	iv := append([]interval(nil), ap.failed...)
-	// Insertion sort by start; the list is nearly sorted already.
-	for i := 1; i < len(iv); i++ {
-		for j := i; j > 0 && iv[j].start < iv[j-1].start; j-- {
-			iv[j], iv[j-1] = iv[j-1], iv[j]
-		}
-	}
-	cur := iv[0]
-	for _, x := range iv[1:] {
+	slices.SortFunc(ap.failed, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
+	cur := ap.failed[0]
+	for _, x := range ap.failed[1:] {
 		if x.start < cur.end {
 			if x.end > cur.end {
 				cur.end = x.end

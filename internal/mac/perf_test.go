@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/phy"
 	"repro/internal/rng"
 	"repro/internal/traffic"
 )
@@ -161,6 +162,82 @@ func TestKernelStatsPinned(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s n=%d seed=%d: kernel stats\n got %+v\nwant %+v", c.algo, c.n, c.seed, got, c.want)
+		}
+	}
+
+	// Off the grid: capture, aborted overlaps, RTS/CTS and saturated
+	// continuous traffic put transmissions of different lengths on the
+	// air together, so these are the cells where a Tx can outlive the
+	// frames it overlapped. A continuous run also stops at its horizon,
+	// possibly mid-overlap.
+	nearFar := DefaultConfig()
+	nearFar.Layout = phy.NearFarLayout
+	abort := DefaultConfig()
+	abort.Radio.AbortOverlapAfter = 20 * time.Microsecond
+	rts := DefaultConfig()
+	rts.RTSCTS = true
+	sat := DefaultConfig()
+	sat.CWMin = 16
+	satNearFar := sat
+	satNearFar.Layout = phy.NearFarLayout
+	saturated := func(cfg Config, n int, seed uint64) KernelStats {
+		return RunContinuous(cfg, n, backoff.NewBEB, traffic.NewSaturated(), 20*time.Millisecond, rng.New(seed), nil).Kernel
+	}
+	offGrid := []struct {
+		name string
+		run  func() KernelStats
+		want KernelStats
+	}{
+		{"near-far BEB n=12", func() KernelStats { return RunBatch(nearFar, 12, backoff.NewBEB, rng.New(1), nil).Kernel }, KernelStats{404, 292, 112, 390, 13, 46, 64, 52, 64, 0}},
+		{"near-far STB n=12", func() KernelStats { return RunBatch(nearFar, 12, backoff.NewSTB, rng.New(2), nil).Kernel }, KernelStats{407, 285, 122, 393, 13, 1, 59, 52, 59, 0}},
+		{"abort BEB n=50", func() KernelStats { return RunBatch(abort, 50, backoff.NewBEB, rng.New(1), nil).Kernel }, KernelStats{8570, 6025, 2545, 8518, 51, 1753, 401, 351, 401, 0}},
+		{"abort LLB n=50", func() KernelStats { return RunBatch(abort, 50, backoff.NewLLB, rng.New(2), nil).Kernel }, KernelStats{10519, 7805, 2714, 10467, 51, 1072, 474, 424, 474, 0}},
+		{"RTS/CTS BEB n=50", func() KernelStats { return RunBatch(rts, 50, backoff.NewBEB, rng.New(1), nil).Kernel }, KernelStats{10901, 5585, 5316, 10849, 51, 2139, 486, 436, 486, 0}},
+		{"RTS/CTS near-far BEB n=12", func() KernelStats {
+			cfg := rts
+			cfg.Layout = phy.NearFarLayout
+			return RunBatch(cfg, 12, backoff.NewBEB, rng.New(3), nil).Kernel
+		}, KernelStats{605, 337, 268, 591, 13, 90, 88, 76, 88, 0}},
+		{"saturated BEB n=10", func() KernelStats { return saturated(sat, 10, 31) }, KernelStats{7991, 6322, 1668, 5590, 2400, 0, 335, 330, 334, 0}},
+		{"saturated near-far BEB n=10", func() KernelStats { return saturated(satNearFar, 10, 31) }, KernelStats{8025, 6296, 1727, 5624, 2400, 0, 347, 343, 346, 0}},
+	}
+	for _, c := range offGrid {
+		if got := c.run(); got != c.want {
+			t.Errorf("%s: kernel stats\n got %v\nwant %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestMACHoldsNoStaleTx runs wifi cells with the medium's use-after-recycle
+// detector on: at the end of each busy period its Txs are poisoned and
+// never reused, so a MAC read of a handle past its callbacks would panic or
+// change the result.
+func TestMACHoldsNoStaleTx(t *testing.T) {
+	nearFar := DefaultConfig()
+	nearFar.Layout = phy.NearFarLayout
+	abort := DefaultConfig()
+	abort.Radio.AbortOverlapAfter = 20 * time.Microsecond
+	rts := nearFar
+	rts.RTSCTS = true
+	for name, c := range map[string]struct {
+		cfg Config
+		n   int
+	}{"grid": {DefaultConfig(), 30}, "near-far": {nearFar, 12}, "abort": {abort, 30}, "RTS/CTS near-far": {rts, 12}} {
+		want := RunBatch(c.cfg, c.n, backoff.NewBEB, rng.New(1), nil)
+		m := newSim(c.cfg, c.n, backoff.NewBEB, rng.New(1), nil)
+		m.allowSlotSkip = !disableSlotSkip
+		m.medium.CheckTxReuse = true
+		for _, s := range m.sts {
+			s.begin()
+		}
+		m.drain()
+		got := m.collect()
+		if k := got.Kernel; k.TxQuarantined != k.TxTotal || k.TxReuses != 0 || k.TxRecycles != 0 {
+			t.Errorf("%s: %d Txs, %d quarantined, %d reused, %d recycled", name, k.TxTotal, k.TxQuarantined, k.TxReuses, k.TxRecycles)
+		}
+		got.Kernel, want.Kernel = KernelStats{}, KernelStats{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result changed under CheckTxReuse\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }

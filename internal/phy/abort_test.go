@@ -7,16 +7,19 @@ import (
 	"repro/internal/event"
 )
 
-// txDoneListener counts TxDone callbacks. It deliberately does not keep the
-// *Tx handles: they are only valid during the callback (the medium recycles
-// them after), and the tests that inspect a transmission past the run Retain
-// their own handle at Transmit time.
+// txDoneListener records what each TxDone reports about the node's own
+// transmission. It keeps values, not the *Tx handle, which is valid only
+// until the callback returns: the contract the MAC follows too.
 type txDoneListener struct {
 	testListener
-	done int
+	aborted []bool
+	durs    []time.Duration
 }
 
-func (l *txDoneListener) TxDone(*Tx, event.Time) { l.done++ }
+func (l *txDoneListener) TxDone(tx *Tx, _ event.Time) {
+	l.aborted = append(l.aborted, tx.Aborted())
+	l.durs = append(l.durs, tx.Duration())
+}
 
 func abortMedium(after time.Duration) (*event.Scheduler, *Medium) {
 	sched := &event.Scheduler{}
@@ -35,24 +38,20 @@ func TestAbortTruncatesOverlappingFrames(t *testing.T) {
 	n1 := m.AddNode(ps[1], l1)
 
 	full := FrameDuration(Rate54Mbps, 1088)
-	tx0 := m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
-	tx0.Retain()
-	defer tx0.Release()
-	tx1 := m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})
-	tx1.Retain()
-	defer tx1.Release()
+	m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
+	m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})
 	sched.Run(0)
 
-	for i, tx := range []*Tx{tx0, tx1} {
-		if !tx.Aborted() {
+	for i, l := range []*txDoneListener{l0, l1} {
+		if len(l.durs) != 1 {
+			t.Fatalf("tx%d: %d TxDone callbacks, want 1", i, len(l.durs))
+		}
+		if !l.aborted[0] {
 			t.Fatalf("tx%d not aborted", i)
 		}
-		if tx.Duration() != 20*time.Microsecond {
-			t.Fatalf("tx%d duration %v, want 20µs (full frame %v)", i, tx.Duration(), full)
+		if l.durs[0] != 20*time.Microsecond {
+			t.Fatalf("tx%d duration %v, want 20µs (full frame %v)", i, l.durs[0], full)
 		}
-	}
-	if l0.done != 1 || l1.done != 1 {
-		t.Fatalf("TxDone counts: %d, %d", l0.done, l1.done)
 	}
 	for _, ok := range apL.frames {
 		if ok {
@@ -64,27 +63,23 @@ func TestAbortTruncatesOverlappingFrames(t *testing.T) {
 func TestAbortLateOverlapTruncatesFromOverlapStart(t *testing.T) {
 	sched, m := abortMedium(20 * time.Microsecond)
 	m.AddNode(APPosition(), &testListener{})
+	l0, l1 := &txDoneListener{}, &txDoneListener{}
 	ps := StationGrid(2)
-	n0 := m.AddNode(ps[0], &txDoneListener{})
-	n1 := m.AddNode(ps[1], &txDoneListener{})
+	n0 := m.AddNode(ps[0], l0)
+	n1 := m.AddNode(ps[1], l1)
 
-	tx0 := m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
-	tx0.Retain()
-	defer tx0.Release()
-	var tx1 *Tx
+	m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
 	schedule(sched, 50*time.Microsecond, func(event.Time) {
-		tx1 = m.Transmit(n1, Rate54Mbps, 128, Payload{Src: 1})
-		tx1.Retain()
+		m.Transmit(n1, Rate54Mbps, 128, Payload{Src: 1})
 	})
 	sched.Run(0)
-	defer tx1.Release()
 
 	// The first frame ran 50µs alone, then 20µs of overlap: 70µs total.
-	if tx0.Duration() != 70*time.Microsecond {
-		t.Fatalf("first frame duration %v, want 70µs", tx0.Duration())
+	if len(l0.durs) != 1 || l0.durs[0] != 70*time.Microsecond {
+		t.Fatalf("first frame durations %v, want [70µs]", l0.durs)
 	}
-	if tx1.Duration() != 20*time.Microsecond {
-		t.Fatalf("second frame duration %v, want 20µs", tx1.Duration())
+	if len(l1.durs) != 1 || l1.durs[0] != 20*time.Microsecond {
+		t.Fatalf("second frame durations %v, want [20µs]", l1.durs)
 	}
 }
 
@@ -92,14 +87,13 @@ func TestNoAbortWithoutOverlap(t *testing.T) {
 	sched, m := abortMedium(20 * time.Microsecond)
 	apL := &testListener{}
 	m.AddNode(APPosition(), apL)
-	st := m.AddNode(Position{0, 0}, &txDoneListener{})
+	l := &txDoneListener{}
+	st := m.AddNode(Position{0, 0}, l)
 
-	tx := m.Transmit(st, Rate54Mbps, 128, Payload{Src: st.ID})
-	tx.Retain()
-	defer tx.Release()
+	m.Transmit(st, Rate54Mbps, 128, Payload{Src: st.ID})
 	sched.Run(0)
-	if tx.Aborted() {
-		t.Fatal("solo frame aborted")
+	if len(l.aborted) != 1 || l.aborted[0] {
+		t.Fatalf("solo frame aborted: %v", l.aborted)
 	}
 	if len(apL.frames) != 1 || !apL.frames[0] {
 		t.Fatalf("solo frame not delivered: %v", apL.frames)
@@ -109,35 +103,36 @@ func TestNoAbortWithoutOverlap(t *testing.T) {
 func TestAbortDisabledByDefault(t *testing.T) {
 	sched, m := newTestMedium()
 	m.AddNode(APPosition(), &testListener{})
+	l0 := &txDoneListener{}
 	ps := StationGrid(2)
-	n0 := m.AddNode(ps[0], &testListener{})
+	n0 := m.AddNode(ps[0], l0)
 	n1 := m.AddNode(ps[1], &testListener{})
-	tx0 := m.Transmit(n0, Rate54Mbps, 128, Payload{Src: 0})
-	tx0.Retain()
-	defer tx0.Release()
+	m.Transmit(n0, Rate54Mbps, 128, Payload{Src: 0})
 	m.Transmit(n1, Rate54Mbps, 128, Payload{Src: 1})
 	sched.Run(0)
-	if tx0.Aborted() {
-		t.Fatal("abort triggered with AbortOverlapAfter = 0")
+	if len(l0.aborted) != 1 || l0.aborted[0] {
+		t.Fatalf("abort triggered with AbortOverlapAfter = 0: %v", l0.aborted)
 	}
-	if tx0.Duration() != FrameDuration(Rate54Mbps, 128) {
-		t.Fatalf("frame truncated without abort mode: %v", tx0.Duration())
+	if l0.durs[0] != FrameDuration(Rate54Mbps, 128) {
+		t.Fatalf("frame truncated without abort mode: %v", l0.durs[0])
 	}
 }
 
 func TestAbortAirtimeAccounting(t *testing.T) {
 	sched, m := abortMedium(20 * time.Microsecond)
 	m.AddNode(APPosition(), &testListener{})
+	l := &txDoneListener{}
 	ps := StationGrid(2)
-	n0 := m.AddNode(ps[0], &txDoneListener{})
-	n1 := m.AddNode(ps[1], &txDoneListener{})
-	txs := []*Tx{m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0}), m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})}
-	for _, tx := range txs {
-		tx.Retain()
-		defer tx.Release()
-	}
+	n0 := m.AddNode(ps[0], l)
+	n1 := m.AddNode(ps[1], l)
+	m.Transmit(n0, Rate54Mbps, 1088, Payload{Src: 0})
+	m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1})
 	sched.Run(0)
-	if got := txs[0].Duration() + txs[1].Duration(); got != 40*time.Microsecond {
-		t.Fatalf("airtime %v, want 40µs (two 20µs aborts)", got)
+	var got time.Duration
+	for _, d := range l.durs {
+		got += d
+	}
+	if len(l.durs) != 2 || got != 40*time.Microsecond {
+		t.Fatalf("airtime %v over %d frames, want 40µs (two 20µs aborts)", got, len(l.durs))
 	}
 }

@@ -15,12 +15,17 @@ func APPosition() Position {
 
 // StationGrid returns the positions of n stations using the paper's layout.
 func StationGrid(n int) []Position {
-	perRow := int(GridSide) // 1 m increments across a 40 m row
 	out := make([]Position, n)
-	for i := 0; i < n; i++ {
-		out[i] = Position{X: float64(i % perRow), Y: float64(i / perRow)}
+	for i := range out {
+		out[i] = GridPosition(i)
 	}
 	return out
+}
+
+// GridPosition returns the position of station i in the paper's layout.
+func GridPosition(i int) Position {
+	perRow := int(GridSide) // 1 m increments across a 40 m row
+	return Position{X: float64(i % perRow), Y: float64(i / perRow)}
 }
 
 // NearFarLayout places n stations along a line at exponentially increasing

@@ -83,17 +83,15 @@ type Payload struct {
 //
 // # Lifetime contract
 //
-// A Tx is owned by its Medium: Transmit draws it from a pool and the medium
-// recycles it after the transmission's final listener callback (the last
-// FrameEnd / TxDone for that frame) returns and every overlapping
-// transmission that reads it has itself ended. No code outside this package
-// holds a handle past that point; the package's tests that do take a
-// reference with their Retain helper and drop it with Release, which lets
-// the object return to the pool. Using a handle after its release panics
-// on every method when the object is still in the pool;
-// Medium.CheckTxReuse makes the panic deterministic (released objects are
-// quarantined, never reused) at the cost of one allocation per
-// transmission.
+// A Tx is owned by its Medium, which recycles transmissions per busy
+// period (a stretch between two instants when nothing is on the air): when
+// the period's last frame ends and its callbacks return, all of its Txs go
+// back to the pool at once. Overlapping frames share a busy period, so a
+// frame's interferers stay intact until it ends. A handle is valid until
+// its frame's final FrameEnd / TxDone callback returns; no code holds one
+// longer. Using a stale handle panics on every method while the object is
+// pooled; Medium.CheckTxReuse makes the panic deterministic (recycled
+// objects are quarantined, never reused) at one allocation per frame.
 type Tx struct {
 	Src     *Node
 	Rate    Rate
@@ -102,7 +100,6 @@ type Tx struct {
 	Payload Payload // typed MAC frame content
 
 	m           *Medium
-	refs        int  // medium's own ref + one per overlapping Tx + test Retains
 	released    bool // true while the object sits in the pool (or quarantine)
 	activeIdx   int  // index in m.active while on the air, -1 otherwise
 	interferers []*Tx
@@ -110,24 +107,9 @@ type Tx struct {
 	aborted     bool
 }
 
-// Release drops a reference: the medium's own, an overlapping
-// transmission's, or one a test took with Retain. When the last reference
-// drops the object returns to the medium's pool and the handle becomes
-// invalid.
-func (t *Tx) Release() {
-	t.checkLive("Release")
-	t.refs--
-	if t.refs < 0 {
-		panic("phy: Tx.Release without a matching Retain")
-	}
-	if t.refs == 0 {
-		t.m.recycleTx(t)
-	}
-}
-
-// checkLive panics when the handle outlived its transmission. It catches
+// checkLive panics when the handle outlived its busy period. It catches
 // stale handles while the object is pooled; under Medium.CheckTxReuse
-// released objects are never reused, so every use-after-release is
+// recycled objects are never reused, so every use after recycling is
 // caught.
 func (t *Tx) checkLive(op string) {
 	if t.released {
@@ -171,13 +153,13 @@ type Medium struct {
 	active []*Tx
 
 	// CheckTxReuse, set before the first Transmit, turns the Tx pool into
-	// a use-after-release detector: released objects are poisoned and
-	// quarantined instead of reused, so any stale handle panics (via the
-	// method checks) or reads absurd values (fields) deterministically.
-	// It costs one allocation per transmission and exists for tests and
-	// debugging; it deliberately lives here and not in Config, which is
-	// part of the scenario fingerprint surface — a debug knob must not
-	// change result addresses.
+	// a use-after-recycle detector: at the end of each busy period its
+	// objects are poisoned and quarantined instead of reused, so any
+	// stale handle panics (via the method checks) or reads absurd values
+	// (fields) deterministically. It costs one allocation per
+	// transmission and exists for tests and debugging; it deliberately
+	// lives here and not in Config, which is part of the scenario
+	// fingerprint surface — a debug knob must not change result addresses.
 	CheckTxReuse bool
 
 	// rxMw[i][j] caches the linear received power (mW) at node j for a
@@ -205,11 +187,12 @@ type Medium struct {
 	// lossRand drives random frame loss (nil when FrameLossProb == 0).
 	lossRand *rng.Source
 
-	// txFree is the Tx pool: endTx returns fully-released objects here
-	// with their interferers capacity intact, Transmit draws from it, so
-	// a steady-state transmission allocates nothing. Confined, like the
-	// whole Medium, to the single simulation goroutine.
-	txFree []*Tx
+	// txs is the Tx pool: txs[:inUse] are the current busy period's
+	// transmissions and txs[inUse:] are free, their interferers capacity
+	// intact, so a steady-state transmission allocates nothing. Confined,
+	// like the whole Medium, to the single simulation goroutine.
+	txs   []*Tx
+	inUse int
 
 	// instSrc, instEnd and verdicts are scratch buffers reused across
 	// endTx calls, so a frame end allocates nothing in steady state. Safe
@@ -230,7 +213,8 @@ type Medium struct {
 	TotalTx int
 
 	// Tx pool counters: allocations served from the pool vs cold, objects
-	// returned for reuse, and objects poisoned under CheckTxReuse.
+	// returned for reuse at the end of a busy period, and objects
+	// poisoned there under CheckTxReuse.
 	TxReuses      int
 	TxRecycles    int
 	TxQuarantined int
@@ -292,8 +276,7 @@ func (m *Medium) buildGains() {
 	for i := range m.rxMw {
 		m.rxMw[i] = flat[i*k : (i+1)*k : (i+1)*k]
 		for j := 0; j < i; j++ {
-			d := m.nodes[i].Pos.DistanceTo(m.nodes[j].Pos)
-			g := txMw * DB(-m.cfg.PathLoss.Loss(d)).Ratio()
+			g := LinkGainMw(txMw, m.cfg.PathLoss, m.nodes[i].Pos, m.nodes[j].Pos)
 			flat[i*k+j] = g
 			flat[j*k+i] = g
 		}
@@ -345,37 +328,38 @@ func (m *Medium) audibleFrom(src *Node) []*Node {
 // cold start). The recycled object keeps its interferers capacity, so the
 // mutual-interference bookkeeping in Transmit does not reallocate either.
 func (m *Medium) allocTx() *Tx {
-	if n := len(m.txFree); n > 0 {
-		tx := m.txFree[n-1]
-		m.txFree[n-1] = nil
-		m.txFree = m.txFree[:n-1]
-		tx.released = false
+	if m.inUse == len(m.txs) {
+		// Cold path: pre-size interferers so warm-up transmissions don't
+		// each pay a grow-append. A frame can overlap every other node's:
+		// each paper algorithm's first slot puts the whole batch on the air.
+		m.txs = append(m.txs, &Tx{m: m, activeIdx: -1, interferers: make([]*Tx, 0, max(8, len(m.nodes)-1))})
+	} else {
 		m.TxReuses++
-		return tx
 	}
-	// Cold path: pre-size interferers so warm-up transmissions don't each
-	// pay a grow-append. A frame can overlap every other node's: each
-	// paper algorithm's first slot puts the whole batch on the air.
-	return &Tx{m: m, activeIdx: -1, interferers: make([]*Tx, 0, max(8, len(m.nodes)-1))}
+	tx := m.txs[m.inUse]
+	m.inUse++
+	tx.released = false
+	return tx
 }
 
-// recycleTx clears a fully-released Tx and returns it to the pool. Under
-// CheckTxReuse the object is poisoned and quarantined instead: it is never
-// handed out again, so any later use of the stale handle fails loudly.
-func (m *Medium) recycleTx(t *Tx) {
-	t.released = true
-	t.Src = nil
-	t.Payload = Payload{}
-	t.endEv = nil
-	t.aborted = false
-	t.interferers = t.interferers[:0]
-	if m.CheckTxReuse {
-		t.Start, t.End = -1, -1
-		m.TxQuarantined++
-		return
+// recycle ends a busy period: it clears every Tx the period used and
+// returns them all to the pool. Under CheckTxReuse it poisons them and
+// drops them from the pool instead, so a stale handle fails loudly.
+func (m *Medium) recycle() {
+	for _, t := range m.txs[:m.inUse] {
+		*t = Tx{m: m, released: true, activeIdx: -1, interferers: t.interferers[:0]}
+		if m.CheckTxReuse {
+			t.Start, t.End = -1, -1
+		}
 	}
-	m.TxRecycles++
-	m.txFree = append(m.txFree, t)
+	if m.CheckTxReuse {
+		m.TxQuarantined += m.inUse
+		clear(m.txs) // nothing was reused, so the whole pool is this period's
+		m.txs = m.txs[:0]
+	} else {
+		m.TxRecycles += m.inUse
+	}
+	m.inUse = 0
 }
 
 // Transmit puts a frame of length bytes at the given rate on the air from
@@ -393,18 +377,14 @@ func (m *Medium) Transmit(src *Node, rate Rate, bytes int, p Payload) *Tx {
 	tx.Src, tx.Rate = src, rate
 	tx.Start, tx.End = now, now+dur
 	tx.Payload = p
-	tx.refs = 1 // the medium's own reference, dropped at the end of endTx
 
-	// Record mutual interference with everything already on the air. Each
-	// side holds a reference on the other: a transmission's reception
-	// verdicts read its interferers' fields at its own end, so an
-	// interferer must not be recycled before every transmission it
-	// overlapped has ended.
+	// Record mutual interference with everything already on the air. A
+	// transmission's reception verdicts read its interferers' fields at
+	// its own end; they share its busy period, so none is recycled before
+	// then.
 	for _, other := range m.active {
 		other.interferers = append(other.interferers, tx)
 		tx.interferers = append(tx.interferers, other)
-		other.refs++
-		tx.refs++
 	}
 	tx.activeIdx = len(m.active)
 	m.active = append(m.active, tx)
@@ -492,14 +472,12 @@ func (m *Medium) endTx(tx *Tx, now event.Time) {
 		}
 	}
 
-	// All callbacks for this frame have returned: drop the references this
-	// transmission held on its interferers, then the medium's own. The
-	// object recycles now unless a still-active overlapping transmission
-	// or a test's Retain keeps it alive.
-	for _, itx := range tx.interferers {
-		itx.Release()
+	// All callbacks have returned. With nothing left on the air the busy
+	// period is over and none of its Txs is read again (a callback that
+	// transmitted inline would have kept the active set non-empty).
+	if len(m.active) == 0 {
+		m.recycle()
 	}
-	tx.Release()
 }
 
 // buildInstants fills instSrc and instEnd with the interference at every

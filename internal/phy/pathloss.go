@@ -32,3 +32,13 @@ func (m LogDistance) Loss(distance float64) DB {
 	}
 	return m.ReferenceLoss + DB(10*m.Exponent*math.Log10(distance/m.ReferenceDist))
 }
+
+// LinkGainMw returns the power, in mW, received at b from a sender at a
+// that transmits txMw milliwatts under pl (nil is NewLogDistance). The
+// medium's gain matrix and the scenario validator both use it.
+func LinkGainMw(txMw float64, pl PathLossModel, a, b Position) float64 {
+	if pl == nil {
+		pl = NewLogDistance()
+	}
+	return txMw * DB(-pl.Loss(a.DistanceTo(b))).Ratio()
+}

@@ -2,17 +2,10 @@ package phy
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/event"
 )
-
-// Retain adds a reference so the handle stays valid — the object will not
-// be recycled for another transmission — until a matching Release. Only
-// tests hold a Tx past its callbacks.
-func (t *Tx) Retain() {
-	t.checkLive("Retain")
-	t.refs++
-}
 
 // nopListener discards every callback: the allocation tests below must not
 // have test bookkeeping (testListener's frames append) in the measured path.
@@ -32,7 +25,7 @@ func TestSteadyStateTransmitZeroAlloc(t *testing.T) {
 	st := m.AddNode(Position{0, 0}, nopListener{})
 
 	// Warm up: first cycles build the gain matrix, grow the event pool, and
-	// seed the Tx free list.
+	// fill the Tx pool.
 	for i := 0; i < 3; i++ {
 		m.Transmit(st, Rate54Mbps, 1088, Payload{Src: 0})
 		sched.Run(0)
@@ -47,8 +40,8 @@ func TestSteadyStateTransmitZeroAlloc(t *testing.T) {
 }
 
 // TestSteadyStateOverlapZeroAlloc does the same for a two-way collision:
-// mutual interference bookkeeping, the SINR sweep, and the symmetric
-// release chain must all run out of recycled capacity.
+// mutual interference bookkeeping, the SINR sweep, and the busy period's
+// recycling must all run out of recycled capacity.
 func TestSteadyStateOverlapZeroAlloc(t *testing.T) {
 	sched, m := newTestMedium()
 	m.AddNode(APPosition(), nopListener{})
@@ -71,41 +64,55 @@ func TestSteadyStateOverlapZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPoolRetainSurvivesRecycling exercises the lifetime contract end to
-// end: a Retain'd handle keeps its object out of the pool (field values
-// intact, no aliasing with later transmissions) and Release returns it.
-func TestPoolRetainSurvivesRecycling(t *testing.T) {
+// TestBusyPeriodChainRecyclesAtSilence pins busy-period recycling on a
+// chain: tx0 overlaps tx1 and tx1 overlaps tx2, while tx0 and tx2 are
+// disjoint. tx0 ends before tx2 starts, but tx1 is on the air throughout
+// and reads tx0's fields at its own end, so no Tx of the period may be
+// reused until the medium falls silent. Then all three are pooled at once.
+func TestBusyPeriodChainRecyclesAtSilence(t *testing.T) {
 	sched, m := newTestMedium()
 	m.AddNode(APPosition(), nopListener{})
-	st := m.AddNode(Position{0, 0}, nopListener{})
+	ps := StationGrid(3)
+	n0 := m.AddNode(ps[0], nopListener{})
+	n1 := m.AddNode(ps[1], nopListener{})
+	n2 := m.AddNode(ps[2], nopListener{})
 
-	tx0 := m.Transmit(st, Rate54Mbps, 1088, Payload{Kind: 7, Src: 3})
-	tx0.Retain()
-	end0 := tx0.End
+	tx0 := m.Transmit(n0, Rate54Mbps, 128, Payload{Src: 0})  // [0, 40µs)
+	tx1 := m.Transmit(n1, Rate54Mbps, 1088, Payload{Src: 1}) // [0, 184µs)
+	var tx2 *Tx
+	schedule(sched, 100*time.Microsecond, func(event.Time) {
+		if tx0.released || m.TxRecycles != 0 {
+			t.Errorf("tx0 recycled while tx1 is on the air (recycles %d)", m.TxRecycles)
+		}
+		tx2 = m.Transmit(n2, Rate54Mbps, 128, Payload{Src: 2}) // [100µs, 140µs)
+		if tx2 == tx0 || tx2 == tx1 {
+			t.Error("tx2 reused a Tx of its own busy period")
+		}
+		if tx0.Src != n0 || tx0.End != event.Time(40*time.Microsecond) {
+			t.Errorf("tx0 clobbered while tx1 is on the air: src %v end %v", tx0.Src, tx0.End)
+		}
+	})
 	sched.Run(0)
 
-	// The retained object must not be handed to the next transmission.
-	tx1 := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 3})
-	if tx1 == tx0 {
-		t.Fatal("retained Tx was recycled into a new transmission")
+	if m.TxRecycles != 3 || m.TxReuses != 0 || m.inUse != 0 {
+		t.Fatalf("at silence: recycles %d reuses %d in use %d, want 3, 0, 0", m.TxRecycles, m.TxReuses, m.inUse)
 	}
-	sched.Run(0)
-
-	if tx0.Payload != (Payload{Kind: 7, Src: 3}) || tx0.End != end0 || tx0.Src == nil {
-		t.Fatalf("retained Tx fields clobbered: payload %+v end %v src %v", tx0.Payload, tx0.End, tx0.Src)
-	}
-	if tx0.Duration() != FrameDuration(Rate54Mbps, 1088) {
-		t.Fatalf("retained Tx duration %v", tx0.Duration())
+	for i, tx := range []*Tx{tx0, tx1, tx2} {
+		if !panics(func() { tx.Duration() }) {
+			t.Errorf("tx%d still live after its busy period", i)
+		}
 	}
 
-	// Release puts the object back in the pool; the free list is LIFO, so
-	// the very next transmission reuses it.
-	tx0.Release()
-	tx2 := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 3})
-	if tx2 != tx0 {
-		t.Fatal("released Tx did not return to the pool")
+	// The next busy period draws the three pooled objects, cold nothing.
+	again := map[*Tx]bool{
+		m.Transmit(n0, Rate54Mbps, 128, Payload{}): true,
+		m.Transmit(n1, Rate54Mbps, 128, Payload{}): true,
+		m.Transmit(n2, Rate54Mbps, 128, Payload{}): true,
 	}
 	sched.Run(0)
+	if !again[tx0] || !again[tx1] || !again[tx2] || m.TxReuses != 3 {
+		t.Fatalf("pooled Txs not reused: %d reuses", m.TxReuses)
+	}
 }
 
 // TestUseAfterReleasePanics pins the debug mode: with CheckTxReuse set,
@@ -118,7 +125,7 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	st := m.AddNode(Position{0, 0}, nopListener{})
 
 	tx := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 0})
-	sched.Run(0) // no Retain: the medium recycles (here: quarantines) the Tx
+	sched.Run(0) // silence: the medium recycles (here: quarantines) the Tx
 
 	if tx.Start != -1 || tx.Src != nil {
 		t.Fatalf("quarantined Tx not poisoned: start %v src %v", tx.Start, tx.Src)
@@ -127,32 +134,13 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"Duration":        func() { tx.Duration() },
 		"Aborted":         func() { tx.Aborted() },
 		"InterfererCount": func() { tx.InterfererCount() },
-		"Retain":          func() { tx.Retain() },
-		"Release":         func() { tx.Release() },
 	} {
 		if !panics(f) {
 			t.Errorf("Tx.%s on a released handle did not panic", name)
 		}
 	}
-}
-
-// TestRetainAfterRunKeepsHandleLive is the positive counterpart: the same
-// sequence with a Retain neither panics nor poisons.
-func TestRetainAfterRunKeepsHandleLive(t *testing.T) {
-	sched, m := newTestMedium()
-	m.CheckTxReuse = true
-	m.AddNode(APPosition(), nopListener{})
-	st := m.AddNode(Position{0, 0}, nopListener{})
-
-	tx := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 0})
-	tx.Retain()
-	sched.Run(0)
-	if tx.Duration() != FrameDuration(Rate54Mbps, 128) {
-		t.Fatalf("retained Tx duration %v", tx.Duration())
-	}
-	tx.Release()
-	if !panics(func() { tx.Duration() }) {
-		t.Fatal("final Release did not invalidate the handle")
+	if next := m.Transmit(st, Rate54Mbps, 128, Payload{Src: 0}); next == tx || m.TxQuarantined != 1 {
+		t.Fatalf("quarantined Tx handed out again (quarantined %d)", m.TxQuarantined)
 	}
 }
 

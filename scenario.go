@@ -11,7 +11,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/backoff"
@@ -233,7 +235,8 @@ func (s Scenario) Validate() error {
 // gives a negative airtime, a CWMax below 1 leaves no backoff slot to draw,
 // a FrameLossProb of 1 or more (or NaN) loses every frame, and a radio
 // setting or layout of n stations that is not finite makes gains NaN or
-// infinite (see validateRadio).
+// infinite, or leaves a station that cannot reach the AP (see
+// validateRadio).
 func validateMACConfig(cfg mac.Config, n int) error {
 	if p := cfg.PayloadBytes; p < 0 || p > maxPayloadBytes {
 		return fmt.Errorf("repro: payload must be in [0, %d] bytes (the 802.11 maximum MSDU), got %d", maxPayloadBytes, p)
@@ -277,6 +280,14 @@ func validateMACConfig(cfg mac.Config, n int) error {
 // finite and >= 0 (phy.Medium.decodes). And a NaN gain or a +Inf
 // carrier-sense threshold leaves every node deaf to every other, so no
 // frame is acknowledged and the run spins until its event budget panics.
+//
+// The same spin follows from finite settings under which a lone frame
+// never gets through, such as a carrier-sense threshold above every link
+// or a noise floor that no signal clears. So every station's link to the
+// AP must be sensed, and a frame on it must decode alone at both the data
+// and the control rate. Link gains are symmetric, so one gain per station
+// covers the frame and its acknowledgement. This is necessary for a run
+// to end, not sufficient.
 func validateRadio(cfg mac.Config, n int) error {
 	r := cfg.Radio
 	for _, p := range []struct {
@@ -294,19 +305,75 @@ func validateRadio(cfg mac.Config, n int) error {
 			return fmt.Errorf("repro: MAC Radio.PathLoss needs finite parameters and ReferenceDist > 0, got %+v", pl)
 		}
 	}
-	if cfg.Layout == nil {
-		return nil
-	}
-	ps := cfg.Layout(n)
-	if len(ps) != n {
-		return fmt.Errorf("repro: MAC Layout(%d) gave %d positions, want %d", n, len(ps), n)
-	}
-	for i, p := range ps {
-		if !isFinite(p.X) || !isFinite(p.Y) {
-			return fmt.Errorf("repro: MAC Layout(%d) position %d is not finite: %v", n, i, p)
+	for _, rate := range []struct {
+		name string
+		v    phy.Rate
+	}{{"DataRate", cfg.DataRate}, {"ControlRate", cfg.ControlRate}} {
+		if rate.v < phy.Rate6Mbps || rate.v > phy.Rate54Mbps {
+			return fmt.Errorf("repro: MAC %s must be an 802.11g rate, got %d", rate.name, int(rate.v))
 		}
 	}
-	return nil
+	pos := phy.GridPosition
+	if cfg.Layout != nil {
+		ps := cfg.Layout(n)
+		if len(ps) != n {
+			return fmt.Errorf("repro: MAC Layout(%d) gave %d positions, want %d", n, len(ps), n)
+		}
+		for i, p := range ps {
+			if !isFinite(p.X) || !isFinite(p.Y) {
+				return fmt.Errorf("repro: MAC Layout(%d) position %d is not finite: %v", n, i, p)
+			}
+		}
+		pos = func(i int) phy.Position { return ps[i] }
+	} else if d := defaultGrid(); n <= d.reach && sameLinks(cfg, d.cfg) {
+		return nil
+	}
+	_, err := unreachable(cfg, n, pos)
+	return err
+}
+
+// defaultGrid is the lone-link walk over the paper's grid under the default
+// radio, done once: the walk costs a math.Pow per station, and nearly every
+// scenario, each served one included, uses that radio. Grid stations
+// 0..reach-1 reach the AP (reach is 1840).
+var defaultGrid = sync.OnceValue(func() (d struct {
+	cfg   mac.Config
+	reach int
+}) {
+	d.cfg = mac.DefaultConfig()
+	d.reach, _ = unreachable(d.cfg, math.MaxInt, phy.GridPosition)
+	return d
+})
+
+// sameLinks reports whether a and b give every lone link the same verdict.
+func sameLinks(a, b mac.Config) bool {
+	ra, rb := a.Radio, b.Radio
+	return ra.TxPower == rb.TxPower && ra.NoiseFloor == rb.NoiseFloor && ra.CSThreshold == rb.CSThreshold &&
+		ra.PathLoss == rb.PathLoss && a.DataRate == b.DataRate && a.ControlRate == b.ControlRate
+}
+
+// unreachable walks stations 0..n-1, station i at pos(i), and returns the
+// first whose lone frame the AP does not sense or decode, with the reason,
+// or n and nil when every one gets through. The walk stops at that station,
+// so a grid far past the AP's range ends early.
+func unreachable(cfg mac.Config, n int, pos func(int) phy.Position) (int, error) {
+	r := cfg.Radio
+	txMw, csMw, noiseMw := r.TxPower.MilliWatt(), r.CSThreshold.MilliWatt(), r.NoiseFloor.MilliWatt()
+	need := max(cfg.DataRate.MinSINRRatio(), cfg.ControlRate.MinSINRRatio())
+	ap := phy.APPosition()
+	for i := range n {
+		p := pos(i)
+		g := phy.LinkGainMw(txMw, r.PathLoss, p, ap)
+		if !(g >= csMw) {
+			return i, fmt.Errorf("repro: MAC station %d at %v is not heard by the AP: it receives %.3g dBm, below the %v dBm carrier-sense threshold",
+				i, p, 10*math.Log10(g), float64(r.CSThreshold))
+		}
+		if !(g/noiseMw >= need) {
+			return i, fmt.Errorf("repro: MAC station %d at %v cannot reach the AP even alone: SNR %.3g dB is below the %.3g dB its rates need",
+				i, p, 10*math.Log10(g/noiseMw), 10*math.Log10(need))
+		}
+	}
+	return n, nil
 }
 
 // neverResolves reports a single batch of n >= 2 stations whose every

@@ -60,6 +60,58 @@ func TestMustAlgorithmPanics(t *testing.T) {
 	MustAlgorithm("WAT")
 }
 
+// TestValidateRejectsDeafRadio: finite radio settings under which a lone
+// frame never gets through used to pass Validate, and the run then spun for
+// seconds until its event budget panicked. Validate must reject each one
+// at once.
+func TestValidateRejectsDeafRadio(t *testing.T) {
+	for name, tweak := range map[string]func(*MACConfig){
+		"CSThreshold 0 dBm":  func(c *MACConfig) { c.Radio.CSThreshold = 0 },
+		"NoiseFloor -20 dBm": func(c *MACConfig) { c.Radio.NoiseFloor = -20 },
+		"TxPower -100 dBm":   func(c *MACConfig) { c.Radio.TxPower = -100 },
+		"one station out of range": func(c *MACConfig) {
+			c.Layout = func(n int) []phy.Position {
+				ps := phy.StationGrid(n)
+				ps[n-1] = phy.Position{X: 500, Y: 500}
+				return ps
+			}
+		},
+	} {
+		s := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 2, Options: []Option{WithConfig(tweak)}}
+		start := time.Now()
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted a radio under which no frame gets through", name)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s: Validate took %v", name, d)
+		}
+	}
+	// Past 1840 stations the paper's grid reaches rows from which a lone
+	// frame does not decode at 54 Mbit/s; Validate says so without
+	// building the layout.
+	for _, n := range []int{1841, 1 << 40} {
+		if err := (Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: n}).Validate(); err == nil {
+			t.Errorf("Validate accepted a wifi grid of %d stations", n)
+		}
+	}
+	if err := (Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 1840}).Validate(); err != nil {
+		t.Errorf("wifi grid of 1840 stations: %v", err)
+	}
+	// The paper's grid and the near-far ablation layout stay valid, RTS/CTS
+	// included.
+	for _, s := range []Scenario{
+		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 150},
+		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 150, Options: []Option{WithRTSCTS()}},
+		{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 12,
+			Options: []Option{WithConfig(func(c *MACConfig) { c.Layout = phy.NearFarLayout })}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%v: %v", s, err)
+		}
+	}
+}
+
 func TestScenarioValidate(t *testing.T) {
 	valid := Scenario{Model: WiFi(), Algorithm: MustAlgorithm("BEB"), N: 10}
 	if err := valid.Validate(); err != nil {
@@ -149,6 +201,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"wifi Layout n+1 positions", valid.WithOptions(WithConfig(func(c *MACConfig) {
 			c.Layout = func(n int) []phy.Position { return phy.StationGrid(n + 1) }
 		}))},
+		{"wifi DataRate out of range", valid.WithOptions(WithConfig(func(c *MACConfig) { c.DataRate = 99 }))},
+		{"wifi ControlRate -1", valid.WithOptions(WithConfig(func(c *MACConfig) { c.ControlRate = -1 }))},
 	}
 	for _, c := range cases {
 		if err := c.s.Validate(); err == nil {
